@@ -10,12 +10,12 @@ from .integrate import (SolutionSnapshot, SolverConfig, Trajectory,
                         stepsize_stiffness)
 from .operators import (PotentialSpec, PotentialTerm, apply_lin, apply_nonlin,
                         apply_nonlin_linearized, apply_partial, apply_stiffness,
-                        build_potential_tt, extract_quadratic, poly_multiply,
-                        project_degree)
-from .sample import (SampleBatch, SamplerConfig, covariance_error, eval_v,
+                        build_potential_tt, covariance_error, extract_quadratic,
+                        poly_multiply, prepare_stiffness, project_degree)
+from .sample import (SampleBatch, SamplerConfig, eval_v,
                      eval_v_batch, grad_v, grad_v_batch, reverse_sample,
                      reverse_sample_scored)
-from .tt import (TensorTrain, read_checkpoint, tt_add_scaled,
+from .tt import (TensorTrain, check_finite, read_checkpoint, tt_add_scaled,
                  tt_apply_mode_matrix, tt_contract_mode_vectors, tt_from_dense,
                  tt_inner, tt_laplace_like_apply, tt_norm, tt_random,
                  tt_rank_one, tt_round, tt_scale, tt_to_dense, tt_zero,
@@ -32,12 +32,13 @@ __all__ = [
     "stepsize_stiffness",
     "PotentialSpec", "PotentialTerm", "apply_lin", "apply_nonlin",
     "apply_nonlin_linearized", "apply_partial", "apply_stiffness",
-    "build_potential_tt", "extract_quadratic", "poly_multiply",
-    "project_degree",
-    "SampleBatch", "SamplerConfig", "covariance_error", "eval_v",
+    "build_potential_tt", "covariance_error", "extract_quadratic",
+    "poly_multiply", "prepare_stiffness", "project_degree",
+    "SampleBatch", "SamplerConfig", "eval_v",
     "eval_v_batch", "grad_v", "grad_v_batch", "reverse_sample",
     "reverse_sample_scored",
-    "TensorTrain", "read_checkpoint", "tt_add_scaled", "tt_apply_mode_matrix",
+    "TensorTrain", "check_finite", "read_checkpoint", "tt_add_scaled",
+    "tt_apply_mode_matrix",
     "tt_contract_mode_vectors", "tt_from_dense", "tt_inner",
     "tt_laplace_like_apply", "tt_norm", "tt_random", "tt_rank_one", "tt_round",
     "tt_scale", "tt_to_dense", "tt_zero", "write_checkpoint",

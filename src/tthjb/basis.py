@@ -17,7 +17,7 @@ exponentially ill-conditioned in the degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -175,6 +175,29 @@ def _invert_upper_triangular(T: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _read_only(mat: np.ndarray) -> np.ndarray:
+    mat.setflags(write=False)
+    return mat
+
+
+def _cached_per_basis(build):
+    """Cache ``build(basis)`` per ``(a, b, n)``; the arrays it returns are
+    shared by every caller and therefore read-only."""
+    @lru_cache(maxsize=None)
+    def cached(a, b, n):
+        out = build(build_basis(a, b, n))
+        if isinstance(out, tuple):
+            return tuple(_read_only(m) for m in out)
+        return _read_only(out)
+
+    @wraps(build)
+    def lookup(basis: LegendreBasis):
+        return cached(basis.a, basis.b, basis.n)
+
+    return lookup
+
+
+@_cached_per_basis
 def mapped_monomial_transform(basis: LegendreBasis) -> tuple[np.ndarray, np.ndarray]:
     """Transform pair between Legendre coefficients on ``[a, b]`` and
     monomial coefficients in the *mapped* variable ``u = 2(x-a)/(b-a) - 1``.
@@ -184,21 +207,23 @@ def mapped_monomial_transform(basis: LegendreBasis) -> tuple[np.ndarray, np.ndar
     one scalar; its conditioning does not depend on the interval.  Used for
     pointwise products, where any polynomial basis with a convolution rule
     works and the raw-coordinate monomials can be catastrophically
-    ill-conditioned on wide or offset intervals.
+    ill-conditioned on wide or offset intervals.  Cached and read-only.
     """
     ref = build_basis(-1.0, 1.0, basis.n)
     scale = np.sqrt(2.0 / (basis.b - basis.a))
     return scale * ref.T, ref.T_inv / scale
 
 
+@_cached_per_basis
 def ou_generator_matrix(basis: LegendreBasis) -> np.ndarray:
-    """Legendre-coefficient action of ``v -> v'' + x v'``."""
+    """Legendre-coefficient action of ``v -> v'' + x v'`` (cached, read-only)."""
     n = basis.n
     return basis.T_inv @ (monomial_second_derivative(n) + monomial_x_derivative(n)) @ basis.T
 
 
+@_cached_per_basis
 def derivative_matrix(basis: LegendreBasis) -> np.ndarray:
-    """Legendre-coefficient action of ``v -> v'``."""
+    """Legendre-coefficient action of ``v -> v'`` (cached, read-only)."""
     return basis.T_inv @ monomial_derivative(basis.n) @ basis.T
 
 

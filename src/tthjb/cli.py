@@ -13,9 +13,11 @@ Config schema::
       "potential": {"terms": [...], "builtins": [...]},
       "solver": {"T": ..., "tau_max": ..., "rho": ... | [[t, rho], ...],
                  "delta_proj": ..., "delta_rank": ..., "delta_contr": ...,
-                 "p_digits": ..., "power_max_iters": ..., "seed": ...},
+                 "p_digits": ..., "power_max_iters": ..., "power_perturb": ...,
+                 "seed": ...},
       "sampler": {"lambda": ..., "n_particles": ..., "langevin_steps": ...,
-                  "langevin_tau": ..., "seed": ...},          # optional
+                  "langevin_tau": ..., "seed": ...,
+                  "clamp_to_domain": false},                  # optional
       "output_dir": "path"
     }
 """
@@ -36,8 +38,8 @@ from . import oracles
 from .basis import DEGREE_CAP, PolySpace
 from .integrate import SolverConfig, SolutionSnapshot, Trajectory, solve_hjb
 from .operators import PotentialSpec, apply_lin, apply_nonlin, build_potential_tt, \
-    poly_multiply, project_degree
-from .sample import SamplerConfig, covariance_error, reverse_sample
+    covariance_error, poly_multiply, project_degree
+from .sample import SamplerConfig, reverse_sample
 from .tt import TensorTrain, read_checkpoint, tt_from_dense, tt_norm, tt_to_dense, \
     write_checkpoint
 
@@ -122,9 +124,9 @@ def _potential_floor_check(phi: TensorTrain):
     for k in range(phi.d):
         if phi.mode_sizes[k] < 3:
             raise ConfigError("potential", f"dimension {k} has no quadratic part")
-        cores = [c.copy() for c in phi.cores]
+        cores = list(phi.cores)
         cores[k] = cores[k][:, 2:, :]
-        if tt_norm(TensorTrain(cores)) <= 1e-12 * total:
+        if tt_norm(TensorTrain._trusted(cores)) <= 1e-12 * total:
             raise ConfigError(
                 "potential", f"dimension {k} has no quadratic part "
                 "(density potential floor check)")
@@ -234,7 +236,11 @@ def cmd_sample(manifest_path: str, particles=None, lam=None, langevin_steps=None
         sampler = SamplerConfig(**{**sampler.__dict__, **fields})
 
     out_dir = os.path.dirname(os.path.abspath(manifest_path))
-    traj = _load_trajectory(manifest, out_dir)
+    try:
+        traj = _load_trajectory(manifest, out_dir)
+    except (OSError, ValueError) as exc:
+        print(f"cannot load snapshot: {exc}", file=sys.stderr)
+        return 1
     batch = reverse_sample(traj, space, sampler, solver)
 
     csv_path = os.path.join(out_dir, "samples.csv")

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import PolySpace
-from .operators import (apply_lin, apply_nonlin, apply_stiffness,
-                        extract_quadratic, project_degree)
-from .tt import (TensorTrain, tt_add_scaled, tt_inner, tt_norm, tt_random,
-                 tt_round, tt_scale)
+from .operators import (apply_lin, apply_nonlin, apply_stiffness, covariance_error,
+                        prepare_stiffness, project_degree)
+from .tt import (TensorTrain, check_finite, tt_add_scaled, tt_inner, tt_norm,
+                 tt_random, tt_round, tt_scale)
 
 # Below this magnitude the power-iteration estimate is treated as an exactly
 # stationary sector (the stiffness bound then does not constrain the step).
@@ -162,12 +162,14 @@ def power_iteration_bound(y: SolutionSnapshot, space: PolySpace,
     to ``p_digits`` significant digits over ``power_stability_window``
     consecutive comparisons.  The returned bound is ``|lambda| + 10^-(P + p)``
     with ``P = ceil(-log10 |lambda|)``.  Returns 0.0 (flagged stationary)
-    when the estimate vanishes.
+    when the estimate vanishes, and raises ``ValueError`` when it is not
+    finite.  ``Y``'s side of ``H_Y`` is prepared once for all iterations.
     """
     Y = y.coeffs
     norm_y = tt_norm(Y)
     if norm_y == 0.0:
         return 0.0, 0
+    side = prepare_stiffness(Y, space)
     caps = list(Y.interior_ranks) if Y.d > 1 else None
     x = tt_scale(Y, 1.0 / norm_y)
     if cfg.power_perturb > 0.0:
@@ -186,9 +188,12 @@ def power_iteration_bound(y: SolutionSnapshot, space: PolySpace,
         if nx == 0.0:
             return 0.0, iters
         xhat = tt_scale(x, 1.0 / nx)
-        xnext = tt_round(apply_stiffness(Y, xhat, space), max_ranks=caps)
+        xnext = tt_round(apply_stiffness(side, xhat, space), max_ranks=caps)
         lam = tt_inner(xhat, xnext)
         iters += 1
+        if not math.isfinite(lam):
+            raise ValueError(f"non-finite eigenvalue estimate {lam} "
+                             "in the power iteration")
         if abs(lam) < STATIONARY_EPS:
             return 0.0, iters
         hist.append(abs(lam))
@@ -347,9 +352,9 @@ def euler_step(y: SolutionSnapshot, tau: float, target_ranks,
 def _slice_norm(a: TensorTrain, dim: int, index: int) -> float:
     """Frobenius norm of the coefficient slice fixing mode ``dim`` at
     ``index`` (computed in TT form, no dense tensor)."""
-    cores = [c.copy() for c in a.cores]
+    cores = list(a.cores)
     cores[dim] = cores[dim][:, index:index + 1, :]
-    return tt_norm(TensorTrain(cores))
+    return tt_norm(TensorTrain._trusted(cores))
 
 
 def degree_truncate(y: SolutionSnapshot, delta_contr: float,
@@ -360,11 +365,11 @@ def degree_truncate(y: SolutionSnapshot, delta_contr: float,
     Repeats until no slice qualifies.  Degrees never drop below 2: the
     stationary standard-normal potential is quadratic.
     """
-    cores = [c.copy() for c in y.coeffs.cores]
+    cores = list(y.coeffs.cores)
     changed = True
     while changed:
         changed = False
-        current = TensorTrain(cores)
+        current = TensorTrain._trusted(cores)
         for k in range(current.d):
             msize = cores[k].shape[1]
             if msize <= 3:
@@ -373,7 +378,7 @@ def degree_truncate(y: SolutionSnapshot, delta_contr: float,
                 cores[k] = cores[k][:, :msize - 1, :]
                 changed = True
                 break
-    return SolutionSnapshot(t=y.t, coeffs=TensorTrain(cores))
+    return SolutionSnapshot(t=y.t, coeffs=TensorTrain._trusted(cores))
 
 
 def rank_adapt(y: SolutionSnapshot, r0, delta_contr: float) -> SolutionSnapshot:
@@ -393,10 +398,6 @@ def rank_adapt(y: SolutionSnapshot, r0, delta_contr: float) -> SolutionSnapshot:
 
 def _diag_record(step, snap, tau, tau_lambda, tau_proj, tau_rank, lambda_bar,
                  space, wall_ms):
-    _, _, quad = extract_quadratic(snap.coeffs, space)
-    d = snap.coeffs.d
-    cov_err = float(np.linalg.norm(quad - 0.5 * np.eye(d))
-                    / np.linalg.norm(0.5 * np.eye(d)))
     return {
         "step": step,
         "t": snap.t,
@@ -407,7 +408,7 @@ def _diag_record(step, snap, tau, tau_lambda, tau_proj, tau_rank, lambda_bar,
         "lambda_bar": lambda_bar,
         "ranks": list(snap.ranks),
         "degrees": list(snap.degrees),
-        "cov_err": cov_err,
+        "cov_err": covariance_error(snap, space),
         "wall_ms": wall_ms,
     }
 
@@ -418,7 +419,8 @@ def solve_hjb(phi: TensorTrain, space: PolySpace, cfg: SolverConfig) -> Trajecto
     Every accepted step satisfies all three step-size criteria; after each
     step the degrees and ranks are re-compressed.  On failure (non-finite
     state, step underflow, rank budget) the partial trajectory is returned
-    with ``error`` set.
+    with ``error`` set.  Finiteness is checked once per accepted step; the
+    operations inside a step do not validate their results.
     """
     snap = SolutionSnapshot(t=0.0, coeffs=phi)
     r0 = phi.interior_ranks
@@ -457,6 +459,7 @@ def solve_hjb(phi: TensorTrain, space: PolySpace, cfg: SolverConfig) -> Trajecto
             new = rank_adapt(new, r0, cfg.delta_contr)
             if tau == remaining:
                 new = SolutionSnapshot(t=cfg.T, coeffs=new.coeffs)
+            check_finite(new.coeffs)
         except (RankBudgetError, StepUnderflowError, ValueError) as exc:
             traj.error = f"{type(exc).__name__}: {exc}"
             return traj

@@ -17,8 +17,8 @@ import numpy as np
 
 from .basis import DEGREE_CAP, PolySpace, derivative_matrix, \
     mapped_monomial_transform, ou_generator_matrix
-from .tt import TensorTrain, laplace_like_sum, mode_apply, tt_add_scaled, tt_round, \
-    tt_scale
+from .tt import TensorTrain, check_finite, laplace_like_sum, mode_apply, tt_add_scaled, \
+    tt_round, tt_scale
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +170,7 @@ def build_potential_tt(spec: PotentialSpec, space: PolySpace,
 
     Each monomial becomes a rank-1 TT (per-dimension monomial-to-Legendre
     conversion through ``T_inv``); the sum is rounded once at relative
-    tolerance ``delta``.
+    tolerance ``delta``.  Raises ``ValueError`` for non-finite coefficients.
     """
     monos = spec.monomials()
     if not monos:
@@ -191,8 +191,9 @@ def build_potential_tt(spec: PotentialSpec, space: PolySpace,
             exp = mono.get(i, 0)
             col = space.bases[i].T_inv[:, exp] if exp else const_cols[i]
             cores.append(col.reshape(1, -1, 1))
-        term = tt_scale(TensorTrain(cores), coef)
+        term = tt_scale(TensorTrain._trusted(cores), coef)
         total = term if total is None else tt_add_scaled(total, term, 1.0)
+    check_finite(total)
     return tt_round(total, tol=delta)
 
 
@@ -218,25 +219,23 @@ def apply_lin(a: TensorTrain, space: PolySpace) -> TensorTrain:
 
 def apply_partial(a: TensorTrain, i: int, space: PolySpace) -> TensorTrain:
     """Coefficients of the partial derivative along dimension ``i``."""
-    cores = [c.copy() for c in a.cores]
+    cores = list(a.cores)
     dx = derivative_matrix(space.basis(i, a.mode_sizes[i]))
     cores[i] = mode_apply(dx, cores[i])
-    return TensorTrain(cores)
+    return TensorTrain._trusted(cores)
 
 
-def _product_core(cb: np.ndarray, ca: np.ndarray, basis, basis2) -> np.ndarray:
+def _product_core(hb: np.ndarray, ha: np.ndarray, t2_inv: np.ndarray) -> np.ndarray:
     """Doubled-degree Legendre core of the per-mode product of two cores.
 
-    Both cores live on the same mode of size ``n + 1``; the result has mode
-    size ``2n + 1`` and row/column ranks equal to the products of the input
-    ranks (Kronecker pairing of the bond indices).  The monomial-coefficient
-    convolution is realized by shifted accumulation.
+    ``hb`` and ``ha`` are the two cores in mapped-monomial form (mode size
+    ``n + 1``, see :func:`~tthjb.basis.mapped_monomial_transform`); the
+    result has mode size ``2n + 1`` and row/column ranks equal to the
+    products of the input ranks (Kronecker pairing of the bond indices).
+    The monomial-coefficient convolution is realized by shifted
+    accumulation, and ``t2_inv`` maps it back to Legendre coefficients.
     """
-    n = cb.shape[1] - 1
-    t, _ = mapped_monomial_transform(basis)
-    _, t2_inv = mapped_monomial_transform(basis2)
-    hb = mode_apply(t, cb)                       # (kb, n+1, lb) monomials in u
-    ha = mode_apply(t, ca)                       # (ka, n+1, la)
+    n = hb.shape[1] - 1
     kb, _, lb = hb.shape
     ka, _, la = ha.shape
     # pair[a, b, k, m, l, o] = hb[k, a, l] * ha[m, b, o]
@@ -270,10 +269,72 @@ def poly_multiply(a: TensorTrain, b: TensorTrain,
     out_space = _doubled_space(a, space)
     cores = []
     for i in range(a.d):
-        bs = space.basis(i, a.mode_sizes[i])
-        bs2 = out_space.bases[i]
-        cores.append(_product_core(b.cores[i], a.cores[i], bs, bs2))
-    return TensorTrain(cores), out_space
+        t, _ = mapped_monomial_transform(space.basis(i, a.mode_sizes[i]))
+        _, t2_inv = mapped_monomial_transform(out_space.bases[i])
+        cores.append(_product_core(mode_apply(t, b.cores[i]),
+                                   mode_apply(t, a.cores[i]), t2_inv))
+    return TensorTrain._trusted(cores), out_space
+
+
+@dataclass(frozen=True)
+class StiffnessSide:
+    """The fixed state ``Y`` of the linearized operator ``H_Y`` with the
+    per-mode data every application of ``H_Y`` reuses.
+
+    ``doubled`` is the space at twice the degrees of ``Y``.  Per dimension
+    ``i``: the OU generator and derivative matrices at the degree of ``Y``,
+    the mapped-monomial transform ``T_i`` at that degree and the inverse
+    transform at the doubled degree, and ``Y``'s core in mapped-monomial
+    form, ``T_i Y_i``, and that of its derivative, ``T_i D_i Y_i``.
+    """
+
+    y: TensorTrain
+    doubled: PolySpace
+    generators: tuple[np.ndarray, ...]
+    derivatives: tuple[np.ndarray, ...]
+    transforms: tuple[np.ndarray, ...]
+    doubled_inverses: tuple[np.ndarray, ...]
+    mono_y: tuple[np.ndarray, ...]
+    mono_dy: tuple[np.ndarray, ...]
+
+
+def prepare_stiffness(y: TensorTrain, space: PolySpace) -> StiffnessSide:
+    """Compute ``y``'s side of :func:`apply_stiffness` once, for reuse by
+    every application of the operator linearized at ``y``."""
+    doubled = _doubled_space(y, space)
+    bases = _space_bases(y, space)
+    derivatives = tuple(derivative_matrix(bs) for bs in bases)
+    transforms = tuple(mapped_monomial_transform(bs)[0] for bs in bases)
+    return StiffnessSide(
+        y=y,
+        doubled=doubled,
+        generators=tuple(ou_generator_matrix(bs) for bs in bases),
+        derivatives=derivatives,
+        transforms=transforms,
+        doubled_inverses=tuple(mapped_monomial_transform(bs2)[1]
+                               for bs2 in doubled.bases),
+        mono_y=tuple(mode_apply(t, c) for t, c in zip(transforms, y.cores)),
+        mono_dy=tuple(mode_apply(t, mode_apply(dx, c))
+                      for t, dx, c in zip(transforms, derivatives, y.cores)))
+
+
+def _gradient_product_sum(side: StiffnessSide, a: TensorTrain, keep=None) -> TensorTrain:
+    """``<grad v_Y, grad v_a>`` at doubled degrees, as the Laplace-like sum
+    of the per-mode products of the two derivative TTs (ranks ``2 r_a r_Y``).
+    ``keep`` truncates each output mode to its first ``keep[i]`` rows."""
+    if a.mode_sizes != side.y.mode_sizes:
+        raise ValueError("arguments must share mode sizes")
+    base_cores = []
+    replaced = []
+    for i, core in enumerate(a.cores):
+        t, t2_inv = side.transforms[i], side.doubled_inverses[i]
+        rows = slice(None) if keep is None else slice(keep[i])
+        da = mode_apply(side.derivatives[i], core)
+        base_cores.append(
+            _product_core(side.mono_y[i], mode_apply(t, core), t2_inv)[:, rows])
+        replaced.append(
+            _product_core(side.mono_dy[i], mode_apply(t, da), t2_inv)[:, rows])
+    return laplace_like_sum(base_cores, replaced)
 
 
 def apply_nonlin_linearized(b: TensorTrain, a: TensorTrain,
@@ -283,21 +344,8 @@ def apply_nonlin_linearized(b: TensorTrain, a: TensorTrain,
     Built as a Laplace-like sum of per-dimension products of the two
     derivative TTs; interior ranks are exactly ``2 r_a r_b``.
     """
-    if a.mode_sizes != b.mode_sizes:
-        raise ValueError("arguments must share mode sizes")
-    out_space = _doubled_space(a, space)
-    bases = _space_bases(a, space)
-    base_cores = []
-    replaced = []
-    for i in range(a.d):
-        bs, bs2 = bases[i], out_space.bases[i]
-        dx = derivative_matrix(bs)
-        db = mode_apply(dx, b.cores[i])
-        da = mode_apply(dx, a.cores[i])
-        base_cores.append(_product_core(b.cores[i], a.cores[i], bs, bs2))
-        replaced.append(_product_core(db, da, bs, bs2))
-    out = laplace_like_sum(base_cores, replaced)
-    return tt_scale(out, -1.0), out_space
+    side = prepare_stiffness(b, space)
+    return tt_scale(_gradient_product_sum(side, a), -1.0), side.doubled
 
 
 def apply_nonlin(a: TensorTrain, space: PolySpace) -> tuple[TensorTrain, PolySpace]:
@@ -318,20 +366,25 @@ def project_degree(a: TensorTrain, degrees) -> TensorTrain:
     for core, n in zip(a.cores, degrees):
         if n + 1 > core.shape[1]:
             raise ValueError("target degrees must not exceed current degrees")
-        cores.append(core[:, :n + 1, :].copy())
-    return TensorTrain(cores)
+        cores.append(core[:, :n + 1, :])
+    return TensorTrain._trusted(cores)
 
 
-def apply_stiffness(b: TensorTrain, a: TensorTrain, space: PolySpace) -> TensorTrain:
+def apply_stiffness(b: TensorTrain | StiffnessSide, a: TensorTrain,
+                    space: PolySpace) -> TensorTrain:
     """Locally linearized right-hand side: ``L a + 2 P NL_b(a)``.
 
-    The degree-doubling linearized nonlinearity is projected back onto the
-    degrees of ``a``, so the output matches the input shape.
+    ``b`` is the state the operator is linearized at, either as a TT or
+    prepared once by :func:`prepare_stiffness` (a TT is prepared on the
+    spot).  The degree-doubling linearized nonlinearity is projected back
+    onto the degrees of ``a``, so the output matches the input shape.
     """
-    la = apply_lin(a, space)
-    nlb, _ = apply_nonlin_linearized(b, a, space)
-    pnlb = project_degree(nlb, [m - 1 for m in a.mode_sizes])
-    return tt_add_scaled(la, pnlb, 2.0)
+    side = b if isinstance(b, StiffnessSide) else prepare_stiffness(b, space)
+    pnlb = _gradient_product_sum(side, a, keep=a.mode_sizes)
+    la = laplace_like_sum(a.cores, [mode_apply(g, core)
+                                    for g, core in zip(side.generators, a.cores)])
+    # NL_b(a) = -<grad v_b, grad v_a>, so 2 P NL_b(a) = -2 P <...>
+    return tt_add_scaled(la, pnlb, -2.0)
 
 
 def extract_quadratic(a: TensorTrain, space: PolySpace):
@@ -373,3 +426,12 @@ def extract_quadratic(a: TensorTrain, space: PolySpace):
             q[i, i] = float((prefix @ sel[i][2] @ suffix[i + 1])[0, 0])
         prefix = prefix @ sel[i][0]
     return a0, b, q
+
+
+def covariance_error(snap, space: PolySpace) -> float:
+    """Relative Frobenius distance of the quadratic coefficient matrix of a
+    solution snapshot (anything with a ``coeffs`` TT) from the standard
+    normal's coefficient ``I/2``."""
+    _, _, quad = extract_quadratic(snap.coeffs, space)
+    target = 0.5 * np.eye(snap.coeffs.d)
+    return float(np.linalg.norm(quad - target) / np.linalg.norm(target))

@@ -29,7 +29,7 @@ from scipy.special import ndtri
 
 from .basis import PolySpace
 from .integrate import SolverConfig, SolutionSnapshot, Trajectory, evaluate_at_time
-from .operators import extract_quadratic
+from .operators import covariance_error  # noqa: F401  (kept importable from here)
 
 NORMAL_TRANSFORM = "inverse_cdf"  # recorded in run metadata
 
@@ -144,15 +144,6 @@ def count_out_of_domain(space: PolySpace, xs: np.ndarray) -> np.ndarray:
     return np.sum((xs < lo) | (xs > hi), axis=1).astype(np.int64)
 
 
-def covariance_error(snap: SolutionSnapshot, space: PolySpace) -> float:
-    """Relative Frobenius distance of the quadratic coefficient matrix from
-    the standard normal's coefficient ``I/2``."""
-    _, _, quad = extract_quadratic(snap.coeffs, space)
-    d = snap.coeffs.d
-    target = 0.5 * np.eye(d)
-    return float(np.linalg.norm(quad - target) / np.linalg.norm(target))
-
-
 # ----------------------------------------------------------------------
 # Reverse-time sampling
 # ----------------------------------------------------------------------
@@ -264,12 +255,16 @@ def reverse_sample(traj: Trajectory, space: PolySpace, scfg: SamplerConfig,
         raise ValueError("trajectory did not reach the horizon")
     solver_times = traj.times
     horizon = solver_times[-1]
+    cache: dict[float, SolutionSnapshot] = {s.t: s for s in traj.snapshots}
     if times is None:
-        times = [horizon - t for t in reversed(solver_times)]
+        times = np.asarray([horizon - t for t in reversed(solver_times)])
+        # Step n asks for diffusion time times[-1] - times[n], which is
+        # t_{N-n} only up to round-off; key snapshot N-n by that exact float.
+        cache.update((times[-1] - tn, snap)
+                     for tn, snap in zip(times, reversed(traj.snapshots)))
     times = np.asarray(times, dtype=np.float64)
     d = traj.snapshots[0].coeffs.d
 
-    cache: dict[float, SolutionSnapshot] = {s.t: s for s in traj.snapshots}
     cache_lock = Lock()
     lo = np.array([a for a, _ in space.intervals])
     hi = np.array([b for _, b in space.intervals])

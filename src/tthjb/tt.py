@@ -4,9 +4,14 @@ A tensor ``A`` with mode sizes ``(m_1, ..., m_d)`` is stored as a chain of
 order-3 cores ``G_i`` of shape ``(r_{i-1}, m_i, r_i)`` with ``r_0 = r_d = 1``,
 so that ``A[a_1, ..., a_d] = G_1[:, a_1, :] @ ... @ G_d[:, a_d, :]``.
 
-All operations are pure: they never mutate their inputs and return fresh
-cores, so values are safe to share read-only across threads.  Dense tensors
-are plain float64 ndarrays (row-major) and are only meant for small
+All operations are pure: they never mutate their inputs or any core, so
+results may share cores with their inputs (``tt_scale`` reuses every core but
+the first) and values are safe to share read-only across threads.  Stored
+cores are C-contiguous float64.  The public constructor, :func:`tt_from_dense`
+and :func:`read_checkpoint` validate shapes and finiteness; results of the
+operations here are trusted and skip both checks and copies, so long-running
+callers check finiteness once per step with :func:`check_finite`.  Dense
+tensors are plain float64 ndarrays (row-major) and are only meant for small
 cross-checking work (d <= 5).
 """
 
@@ -41,8 +46,11 @@ class TensorTrain:
     ortho : tuple or None
         Optional orthogonality marker: ``("left", k)`` marks cores
         ``0..k-1`` as having orthonormal column unfoldings, ``("right", k)``
-        marks cores ``k..d-1`` as having orthonormal row unfoldings.
-        Purely informational; set by the orthogonalization sweeps.
+        marks cores ``k..d-1`` as having orthonormal row unfoldings.  Set by
+        ``tt_round`` (``("left", d-1)``) and ``right_orthogonalize``
+        (``("right", 1)``) and read by :func:`tt_norm`, which then takes the
+        norm of the one core that is not orthonormal.  It is trusted, not
+        checked; every other operation returns an unmarked result.
     """
 
     __slots__ = ("cores", "ortho")
@@ -58,10 +66,18 @@ class TensorTrain:
                 raise ValueError(f"core {i} is not order 3")
             if i > 0 and cores[i - 1].shape[2] != c.shape[0]:
                 raise ValueError(f"rank mismatch between cores {i - 1} and {i}")
-            if not np.all(np.isfinite(c)):
-                raise ValueError(f"core {i} contains non-finite entries")
         self.cores = cores
         self.ortho = ortho
+        check_finite(self)
+
+    @classmethod
+    def _trusted(cls, cores, ortho=None) -> "TensorTrain":
+        """Wrap float64 cores built by this package's operations: no shape
+        or finiteness checks, and no copy of cores that are contiguous."""
+        obj = cls.__new__(cls)
+        obj.cores = [np.ascontiguousarray(c) for c in cores]
+        obj.ortho = ortho
+        return obj
 
     @property
     def d(self) -> int:
@@ -80,15 +96,23 @@ class TensorTrain:
         return self.ranks[1:-1]
 
     def copy(self) -> "TensorTrain":
-        return TensorTrain([c.copy() for c in self.cores])
+        return TensorTrain._trusted([c.copy() for c in self.cores], self.ortho)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"TensorTrain(modes={self.mode_sizes}, ranks={self.ranks})"
 
 
+def check_finite(a: TensorTrain) -> None:
+    """Raise ``ValueError`` if a core holds a NaN or an infinity (the check
+    the public constructor makes and trusted results skip)."""
+    for i, c in enumerate(a.cores):
+        if not np.all(np.isfinite(c)):
+            raise ValueError(f"core {i} contains non-finite entries")
+
+
 def tt_zero(mode_sizes) -> TensorTrain:
     """Canonical zero tensor: all ranks 1, zero cores."""
-    return TensorTrain([np.zeros((1, m, 1)) for m in mode_sizes])
+    return TensorTrain._trusted([np.zeros((1, m, 1)) for m in mode_sizes])
 
 
 def tt_rank_one(vectors) -> TensorTrain:
@@ -104,8 +128,8 @@ def tt_random(mode_sizes, ranks, rng) -> TensorTrain:
     d = len(mode_sizes)
     if len(ranks) != d + 1 or ranks[0] != 1 or ranks[-1] != 1:
         raise ValueError("ranks must have length d+1 with boundary ranks 1")
-    return TensorTrain([rng.standard_normal((ranks[i], mode_sizes[i], ranks[i + 1]))
-                        for i in range(d)])
+    return TensorTrain._trusted([
+        rng.standard_normal((ranks[i], mode_sizes[i], ranks[i + 1])) for i in range(d)])
 
 
 def _check_same_shape(a: TensorTrain, b: TensorTrain):
@@ -175,7 +199,7 @@ def tt_add_scaled(a: TensorTrain, b: TensorTrain, c: float = 1.0) -> TensorTrain
     _check_same_shape(a, b)
     d = a.d
     if d == 1:
-        return TensorTrain([a.cores[0] + c * b.cores[0]])
+        return TensorTrain._trusted([a.cores[0] + c * b.cores[0]])
     cores = []
     for i in range(d):
         ca, cb = a.cores[i], b.cores[i]
@@ -190,13 +214,14 @@ def tt_add_scaled(a: TensorTrain, b: TensorTrain, c: float = 1.0) -> TensorTrain
             blk[:ra0, :, :ra1] = ca
             blk[ra0:, :, ra1:] = cb
             cores.append(blk)
-    return TensorTrain(cores)
+    return TensorTrain._trusted(cores)
 
 
 def tt_scale(a: TensorTrain, c: float) -> TensorTrain:
-    """Scalar multiple ``c * a`` (folded into the first core)."""
-    cores = [a.cores[0] * c] + [g.copy() for g in a.cores[1:]]
-    return TensorTrain(cores)
+    """Scalar multiple ``c * a`` (folded into the first core; the other
+    cores are shared with ``a``).  The result carries no orthogonality
+    marker."""
+    return TensorTrain._trusted([a.cores[0] * c] + a.cores[1:])
 
 
 def tt_inner(a: TensorTrain, b: TensorTrain) -> float:
@@ -218,7 +243,7 @@ def right_orthogonalize(a: TensorTrain) -> TensorTrain:
     Afterwards the Frobenius norm of the tensor equals the Frobenius norm
     of the first core.
     """
-    cores = [c.copy() for c in a.cores]
+    cores = list(a.cores)
     for i in range(len(cores) - 1, 0, -1):
         r0, m, r1 = cores[i].shape
         mat = cores[i].reshape(r0, m * r1)
@@ -226,23 +251,31 @@ def right_orthogonalize(a: TensorTrain) -> TensorTrain:
         k = q.shape[1]
         cores[i] = q.T.reshape(k, m, r1)
         cores[i - 1] = np.matmul(cores[i - 1], r.T)
-    return TensorTrain(cores, ortho=("right", 1))
+    return TensorTrain._trusted(cores, ortho=("right", 1))
 
 
 def tt_norm(a: TensorTrain) -> float:
-    """Frobenius norm, computed via full right-orthogonalization."""
-    return float(np.linalg.norm(right_orthogonalize(a).cores[0]))
+    """Frobenius norm.
+
+    With all cores but one orthonormal (the ``ortho`` marker of a rounded
+    or right-orthogonalized TT) it is the norm of that core (Oseledets,
+    SIAM J. Sci. Comput. 33(5), 2011); otherwise a right-orthogonalization
+    sweep brings the TT to that form first.
+    """
+    if a.ortho == ("left", a.d - 1):
+        return float(np.linalg.norm(a.cores[-1]))
+    if a.ortho != ("right", 1):
+        a = right_orthogonalize(a)
+    return float(np.linalg.norm(a.cores[0]))
 
 
 def _fix_svd_signs(u, vt):
     """Deterministic sign convention: first nonzero entry of each left
-    singular vector is positive."""
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        nz = np.nonzero(col)[0]
-        if nz.size and col[nz[0]] < 0:
-            u[:, j] = -col
-            vt[j, :] = -vt[j, :]
+    singular vector is positive.  Flips ``u`` and ``vt`` in place."""
+    first = np.argmax(u != 0, axis=0)  # row 0 for an all-zero column
+    sign = np.where(u[first, np.arange(u.shape[1])] < 0, -1.0, 1.0)
+    u *= sign
+    vt *= sign[:, None]
     return u, vt
 
 
@@ -298,7 +331,7 @@ def tt_round(a: TensorTrain, tol: float = 0.0, max_ranks=None) -> TensorTrain:
         nxt = cores[i + 1]
         cores[i + 1] = (carry @ nxt.reshape(nxt.shape[0], -1)).reshape(
             k, nxt.shape[1], nxt.shape[2])
-    return TensorTrain(cores, ortho=("left", d - 1))
+    return TensorTrain._trusted(cores, ortho=("left", d - 1))
 
 
 def tt_contract_mode_vectors(a: TensorTrain, vs) -> float:
@@ -338,7 +371,7 @@ def laplace_like_sum(base_cores, replaced_cores) -> TensorTrain:
     """
     d = len(base_cores)
     if d == 1:
-        return TensorTrain([replaced_cores[0].copy()])
+        return TensorTrain._trusted([replaced_cores[0]])
     cores = []
     for i in range(d):
         b, r = base_cores[i], replaced_cores[i]
@@ -355,7 +388,7 @@ def laplace_like_sum(base_cores, replaced_cores) -> TensorTrain:
             blk[r0:, :, :r1] = r
             blk[r0:, :, r1:] = b
             cores.append(blk)
-    return TensorTrain(cores)
+    return TensorTrain._trusted(cores)
 
 
 def tt_laplace_like_apply(a: TensorTrain, ms) -> TensorTrain:
@@ -395,22 +428,30 @@ def write_checkpoint(path, a: TensorTrain, t: float):
 
 
 def read_checkpoint(path) -> tuple[TensorTrain, float]:
+    """Read a TTCK file; ``ValueError`` unless its length matches the
+    header exactly (truncated files and trailing bytes are both rejected)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != _TTCK_MAGIC:
         raise ValueError("not a TTCK checkpoint")
-    (version,) = struct.unpack_from("<I", raw, 4)
+    if len(raw) < 12:
+        raise ValueError("truncated TTCK header")
+    version, d = struct.unpack_from("<2I", raw, 4)
     if version != _TTCK_VERSION:
         raise ValueError(f"unsupported TTCK version {version}")
-    (d,) = struct.unpack_from("<I", raw, 8)
-    off = 12
-    mode_sizes = struct.unpack_from(f"<{d}I", raw, off)
-    off += 4 * d
-    ranks = struct.unpack_from(f"<{d + 1}I", raw, off)
-    off += 4 * (d + 1)
+    off = 12 + 4 * d + 4 * (d + 1)
+    if len(raw) < off:
+        raise ValueError("truncated TTCK header")
+    mode_sizes = struct.unpack_from(f"<{d}I", raw, 12)
+    ranks = struct.unpack_from(f"<{d + 1}I", raw, 12 + 4 * d)
+    sizes = [ranks[i] * mode_sizes[i] * ranks[i + 1] for i in range(d)]
+    expected = off + 8 * sum(sizes) + 8
+    if len(raw) != expected:
+        kind = "truncated" if len(raw) < expected else "trailing bytes in"
+        raise ValueError(f"{kind} TTCK checkpoint: {len(raw)} bytes, "
+                         f"header implies {expected}")
     cores = []
-    for i in range(d):
-        n = ranks[i] * mode_sizes[i] * ranks[i + 1]
+    for i, n in enumerate(sizes):
         core = np.frombuffer(raw, dtype="<f8", count=n, offset=off)
         off += 8 * n
         cores.append(core.reshape(ranks[i], mode_sizes[i], ranks[i + 1]).copy())

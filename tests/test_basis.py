@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tthjb.basis import (DEGREE_CAP, PolySpace, build_basis, derivative_matrix,
+                         mapped_monomial_transform,
                          monomial_derivative, monomial_second_derivative,
                          monomial_x_derivative, ou_generator_matrix,
                          x_multiplication_matrix)
@@ -210,3 +211,18 @@ class TestPolySpace:
             PolySpace([], [])
         with pytest.raises(ValueError):
             PolySpace([(-1, 1)], [2, 3])
+
+
+def test_operator_matrices_cached_and_read_only():
+    bs = build_basis(-2.0, 3.0, 4)
+    def matrices():
+        return [ou_generator_matrix(bs), derivative_matrix(bs),
+                *mapped_monomial_transform(bs)]
+
+    for mat, mat2 in zip(matrices(), matrices()):
+        assert mat is mat2
+        assert not mat.flags.writeable
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
+    # one cache entry per (a, b, n): another degree gets its own matrix
+    assert derivative_matrix(build_basis(-2.0, 3.0, 5)).shape == (6, 6)

@@ -146,6 +146,13 @@ class TestSolveCommand:
         manifest = json.loads((tmp_path / "runs" / "manifest.json").read_text())
         assert len(manifest["files"]) < len(manifest["times"])
 
+    def test_non_finite_state_exits_2(self, tmp_path, poisoned_rank_adapt, capsys):
+        path, _ = gaussian_config(tmp_path, out="runnan")
+        assert main(["solve", str(path)]) == 2
+        assert "core 1 contains non-finite entries" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "runnan" / "manifest.json").read_text())
+        assert manifest["error"] == "ValueError: core 1 contains non-finite entries"
+
     def test_long_horizon_manifest_reaches_stationarity(self, tmp_path):
         path, _ = gaussian_config(tmp_path, T=12.0, out="runl")
         assert main(["solve", str(path), "--stride", "10"]) == 0
@@ -181,6 +188,16 @@ class TestSampleCommand:
         c1 = (solved.parent / "samples.csv").read_bytes()
         assert main(["sample", str(solved), "--lambda", "1.0", "--seed", "3"]) == 0
         assert c1 == (solved.parent / "samples.csv").read_bytes()
+
+    @pytest.mark.parametrize("damage", ["truncate", "append"])
+    def test_damaged_snapshot_exits_1(self, solved, damage, capsys):
+        snap = solved.parent / "snapshot_3.ttck"
+        raw = snap.read_bytes()
+        snap.write_bytes(raw[:-5] if damage == "truncate" else raw + b"\x00" * 3)
+        assert main(["sample", str(solved)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot load snapshot:") and err.count("\n") == 1
+        assert not (solved.parent / "samples.csv").exists()
 
     def test_overrides_recorded(self, solved):
         assert main(["sample", str(solved), "--particles", "16",

@@ -338,9 +338,27 @@ class TestSolve:
         assert d1 == d2
 
 
+class TestNonFinite:
+    def test_non_finite_state_ends_the_solve(self, poisoned_rank_adapt):
+        _, space, phi = gaussian_setup(2, seed=3)
+        traj = solve_hjb(phi, space, SolverConfig(**CFG))
+        assert traj.error == "ValueError: core 1 contains non-finite entries"
+        assert len(traj.snapshots) == 1 and not traj.diagnostics
+
+    def test_non_finite_eigenvalue_rejected(self, monkeypatch):
+        space, phi = diag_gaussian([1.0, 2.0])
+        monkeypatch.setattr("tthjb.integrate.tt_inner", lambda a, b: math.nan)
+        cfg = SolverConfig(**CFG)
+        with pytest.raises(ValueError, match="non-finite eigenvalue"):
+            power_iteration_bound(SolutionSnapshot(0.0, phi), space, cfg)
+        traj = solve_hjb(phi, space, cfg)
+        assert traj.error.startswith("ValueError: non-finite eigenvalue")
+
+
 class TestEvaluateAtTime:
     @pytest.fixture(scope="class")
-    def solved(self):
+    @classmethod
+    def solved(cls):
         q, space, phi = gaussian_setup(2, seed=16)
         cfg = SolverConfig(T=3.0, tau_max=0.1, rho=0.2, seed=5)
         return q, space, cfg, solve_hjb(phi, space, cfg)

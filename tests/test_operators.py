@@ -9,12 +9,13 @@ from tthjb.operators import (PotentialSpec, PotentialTerm, apply_lin,
                              apply_nonlin, apply_nonlin_linearized,
                              apply_partial, apply_stiffness, banana_monomials,
                              build_potential_tt, extract_quadratic,
-                             poly_multiply, project_degree)
+                             poly_multiply, prepare_stiffness, project_degree)
 from tthjb.oracles import (dense_lin, dense_multiply, dense_nonlin,
                            dense_nonlin_linearized, dense_partial,
                            dense_project)
 from tthjb.sample import eval_v_batch
-from tthjb.tt import tt_from_dense, tt_inner, tt_norm, tt_random, tt_to_dense
+from tthjb.tt import (tt_add_scaled, tt_from_dense, tt_inner, tt_norm, tt_random,
+                      tt_to_dense)
 
 
 def snap(tt):
@@ -330,6 +331,29 @@ class TestStiffness:
         ref = dense_lin(da, space3) + 2.0 * dense_project(
             dense_nonlin_linearized(db, da, space3), space3.degrees)
         assert rel_err(tt_to_dense(got), ref) <= 1e-12
+
+    def test_prepared_side_matches_unprepared_mixed_degrees(self):
+        space = PolySpace([(-5.0, 5.0), (-2.0, 2.0), (-1.0, 3.0), (-2.0, 2.0),
+                           (-5.0, 5.0)], [2, 3, 4, 5, 6])
+        rng = np.random.default_rng(21)
+        b = tt_random(space.mode_sizes, (1, 2, 3, 3, 2, 1), rng)
+        side = prepare_stiffness(b, space)
+        # the composition apply_stiffness replaces: L a + 2 P NL_b(a)
+        for ranks in [(1, 2, 2, 2, 2, 1), (1, 3, 2, 3, 2, 1)]:
+            a = tt_random(space.mode_sizes, ranks, rng)
+            prepared = tt_to_dense(apply_stiffness(side, a, space))
+            unprepared = tt_to_dense(apply_stiffness(b, a, space))
+            nl, _ = apply_nonlin_linearized(b, a, space)
+            composed = tt_to_dense(tt_add_scaled(
+                apply_lin(a, space), project_degree(nl, space.degrees), 2.0))
+            assert rel_err(prepared, unprepared) <= 1e-14
+            assert rel_err(prepared, composed) <= 1e-14
+
+    def test_prepared_side_rejects_other_shapes(self, space3):
+        rng = np.random.default_rng(22)
+        side = prepare_stiffness(tt_random(space3.mode_sizes, (1, 2, 2, 1), rng), space3)
+        with pytest.raises(ValueError, match="mode sizes"):
+            apply_stiffness(side, tt_random((3, 3, 3), (1, 2, 2, 1), rng), space3)
 
 
 class TestExtractQuadratic:

@@ -175,7 +175,8 @@ class TestScoredSampler:
 
 class TestTrajectorySampler:
     @pytest.fixture(scope="class")
-    def solved(self):
+    @classmethod
+    def solved(cls):
         d = 2
         rng = np.random.default_rng(33)
         a = rng.uniform(0, 1, (d, d))
@@ -212,6 +213,19 @@ class TestTrajectorySampler:
         small = PolySpace([(-0.5, 0.5)] * 2, [2, 2])
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, -2.0]])
         assert count_out_of_domain(small, pts).tolist() == [0, 1, 2]
+
+    def test_solver_grid_never_bridges(self, solved, monkeypatch):
+        """On the default grid every reverse step finds its stored snapshot;
+        none runs an Euler bridge step for a round-off time offset."""
+        _, space, cfg, traj = solved
+
+        def bridge(*args):
+            raise AssertionError("evaluate_at_time called on the solver grid")
+
+        monkeypatch.setattr("tthjb.sample.evaluate_at_time", bridge)
+        scfg = SamplerConfig(lam=0.0, n_particles=20, langevin_steps=1, seed=3)
+        batch = reverse_sample(traj, space, scfg, cfg)
+        assert batch.samples.shape == (20, 2)
 
     def test_custom_grid(self, solved):
         _, space, cfg, traj = solved

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tthjb.tt import (TensorTrain, read_checkpoint, tt_add_scaled,
+from tthjb.tt import (TensorTrain, _fix_svd_signs, read_checkpoint,
+                      right_orthogonalize, tt_add_scaled,
                       tt_apply_mode_matrix, tt_contract_mode_vectors,
                       tt_from_dense, tt_inner, tt_laplace_like_apply, tt_norm,
                       tt_random, tt_rank_one, tt_round, tt_scale, tt_to_dense,
@@ -297,6 +298,32 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("cut", [1, 8, 40])
+    def test_truncated_file_rejected(self, tmp_path, cut):
+        rng = np.random.default_rng(30)
+        path = tmp_path / "snap.ttck"
+        write_checkpoint(path, random_tt(rng, (3, 4), (2,)), 0.5)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-cut])
+        with pytest.raises(ValueError, match="truncated"):
+            read_checkpoint(path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        rng = np.random.default_rng(31)
+        path = tmp_path / "snap.ttck"
+        write_checkpoint(path, random_tt(rng, (3, 4, 2), (2, 2)), 0.5)
+        path.write_bytes(path.read_bytes()[:18])
+        with pytest.raises(ValueError, match="truncated"):
+            read_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        rng = np.random.default_rng(32)
+        path = tmp_path / "snap.ttck"
+        write_checkpoint(path, random_tt(rng, (3, 4), (2,)), 0.5)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="trailing"):
+            read_checkpoint(path)
+
 
 def test_scale_folds_into_first_core():
     rng = np.random.default_rng(27)
@@ -327,3 +354,68 @@ class TestOrthogonalityMarker:
             r0, m, r1 = core.shape
             mat = core.reshape(r0 * m, r1)
             np.testing.assert_allclose(mat.T @ mat, np.eye(r1), atol=1e-12)
+
+    def test_norm_shortcut_matches_sweep_on_rounded(self):
+        rng = np.random.default_rng(33)
+        a = random_tt(rng, (3, 4, 5, 3), (3, 4, 3))
+        for r in (tt_round(a, tol=1e-12), tt_round(a, max_ranks=[2, 2, 2])):
+            unmarked = TensorTrain(r.cores)
+            sweep = float(np.linalg.norm(right_orthogonalize(unmarked).cores[0]))
+            assert tt_norm(r) == pytest.approx(sweep, rel=1e-14)
+            assert tt_norm(r) == pytest.approx(np.linalg.norm(tt_to_dense(r)), rel=1e-13)
+
+    def test_norm_of_right_marked_is_first_core(self):
+        rng = np.random.default_rng(34)
+        r = right_orthogonalize(random_tt(rng, (3, 4, 3), (3, 3)))
+        assert tt_norm(r) == float(np.linalg.norm(r.cores[0]))
+
+    def test_operations_drop_the_marker(self):
+        from tthjb.integrate import SolutionSnapshot, degree_truncate
+        from tthjb.basis import PolySpace
+        rng = np.random.default_rng(35)
+        r = tt_round(random_tt(rng, (5, 4, 5), (3, 3)), tol=1e-12)
+        assert r.ortho is not None
+        scaled = tt_scale(r, 3.0)
+        assert scaled.ortho is None
+        assert tt_norm(scaled) == pytest.approx(3.0 * tt_norm(r), rel=1e-13)
+        assert tt_add_scaled(r, r, 1.0).ortho is None
+        # a top degree slice far below the threshold is dropped
+        cores = list(r.cores)
+        cores[0] = cores[0].copy()
+        cores[0][:, -1, :] = 1e-14
+        small = tt_round(TensorTrain(cores), tol=1e-14)
+        assert small.ortho is not None
+        space = PolySpace([(-1.0, 1.0)] * 3, [4, 3, 4])
+        cut = degree_truncate(SolutionSnapshot(0.0, small), 1e-8, space).coeffs
+        assert cut.mode_sizes != small.mode_sizes
+        assert cut.ortho is None
+
+    def test_copy_keeps_the_marker(self):
+        rng = np.random.default_rng(36)
+        r = tt_round(random_tt(rng, (3, 4, 3), (3, 3)), tol=1e-12)
+        assert r.copy().ortho == r.ortho
+
+
+def _fix_svd_signs_loop(u, vt):
+    """Column-by-column reference for the vectorized sign convention."""
+    for j in range(u.shape[1]):
+        col = u[:, j]
+        nz = np.nonzero(col)[0]
+        if nz.size and col[nz[0]] < 0:
+            u[:, j] = -col
+            vt[j, :] = -vt[j, :]
+    return u, vt
+
+
+@pytest.mark.parametrize("shape", [(5, 2), (12, 4), (30, 7), (4, 4)])
+def test_svd_sign_fix_matches_loop_bitwise(shape):
+    rng = np.random.default_rng(shape[0] * 31 + shape[1])
+    u = rng.standard_normal(shape)
+    u[:2, 0] = 0.0          # leading zeros: the first nonzero entry decides
+    u[:, -1] = 0.0          # all-zero column: left alone
+    u[0, 1] = -0.0
+    vt = rng.standard_normal((shape[1], 6))
+    got_u, got_vt = _fix_svd_signs(u.copy(), vt.copy())
+    ref_u, ref_vt = _fix_svd_signs_loop(u.copy(), vt.copy())
+    assert got_u.tobytes() == ref_u.tobytes()
+    assert got_vt.tobytes() == ref_vt.tobytes()
