@@ -18,13 +18,18 @@ import numpy as np
 
 from .basis import PolySpace
 from .operators import (apply_lin, apply_nonlin, apply_stiffness, covariance_error,
-                        prepare_stiffness, project_degree)
+                        prepare_stiffness, project_degree, projection_norms)
 from .tt import (TensorTrain, check_finite, tt_add_scaled, tt_inner, tt_norm,
                  tt_random, tt_round, tt_scale)
 
 # Below this magnitude the power-iteration estimate is treated as an exactly
 # stationary sector (the stiffness bound then does not constrain the step).
 STATIONARY_EPS = 1e-14
+
+# A relative degree-projection error below this is at the round-off level of
+# the doubled-degree product (a quadratic state, whose projection is exact,
+# gives about 1e-16) and counts as an exact projection.
+PROJECTION_EPS = 1e-14
 
 
 class RankBudgetError(RuntimeError):
@@ -69,6 +74,8 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if self.p_digits < 1:
             raise ValueError("p_digits must be >= 1")
+        if self.power_stability_window < 1:
+            raise ValueError("power_stability_window must be >= 1")
         sched = self.rho
         if np.isscalar(sched):
             sched = [(0.0, float(sched))]
@@ -235,28 +242,25 @@ class _StepQuantities:
 
 def _step_quantities(y: SolutionSnapshot, space: PolySpace) -> _StepQuantities:
     """Right-hand side at ``y`` plus the relative degree-projection error
-    of its nonlinear part (computed via the Parseval identity)."""
+    ``|(I - P) NL| / |NL|`` of its nonlinear part."""
     degrees = [m - 1 for m in y.coeffs.mode_sizes]
     nl, _ = apply_nonlin(y.coeffs, space)
-    pnl = project_degree(nl, degrees)
-    nl_norm = tt_norm(nl)
-    if nl_norm == 0.0:
-        rel = 0.0
-    else:
-        pnl_norm = tt_norm(pnl)
-        gap = max(nl_norm ** 2 - pnl_norm ** 2, 0.0)
-        rel = math.sqrt(gap) / nl_norm
-    rhs = tt_add_scaled(apply_lin(y.coeffs, space), pnl, 1.0)
+    nl_norm, dropped = projection_norms(nl, degrees)
+    rel = dropped / nl_norm if dropped > PROJECTION_EPS * nl_norm else 0.0
+    rhs = tt_add_scaled(apply_lin(y.coeffs, space), project_degree(nl, degrees), 1.0)
     return _StepQuantities(rhs=rhs, nl_norm=nl_norm, rel_proj=rel)
+
+
+def _projection_bound(rel_proj: float, cfg: SolverConfig) -> float:
+    """``delta_proj / rel_proj``, or ``tau_max`` when the projection is exact."""
+    return cfg.tau_max if rel_proj == 0.0 else cfg.delta_proj / rel_proj
 
 
 def stepsize_projection(y: SolutionSnapshot, space: PolySpace,
                         cfg: SolverConfig) -> tuple[float, float]:
     """Step bound keeping the relative projection error below delta_proj."""
     q = _step_quantities(y, space)
-    if q.rel_proj == 0.0:
-        return cfg.tau_max, 0.0
-    return cfg.delta_proj / q.rel_proj, q.rel_proj
+    return _projection_bound(q.rel_proj, cfg), q.rel_proj
 
 
 def _retraction_rel_err(y: TensorTrain, rhs: TensorTrain, tau: float,
@@ -434,10 +438,7 @@ def solve_hjb(phi: TensorTrain, space: PolySpace, cfg: SolverConfig) -> Trajecto
             lambda_bar, _ = power_iteration_bound(snap, space, cfg)
             tau_lambda = stepsize_stiffness(lambda_bar, cfg.rho_at(t))
             q = _step_quantities(snap, space)
-            if q.rel_proj == 0.0:
-                tau_proj = cfg.tau_max
-            else:
-                tau_proj = cfg.delta_proj / q.rel_proj
+            tau_proj = _projection_bound(q.rel_proj, cfg)
             if snap.coeffs.d > 1:
                 target = np.minimum(np.maximum(np.asarray(snap.coeffs.interior_ranks), 2),
                                     np.maximum(np.asarray(r0), 2)).tolist()

@@ -272,8 +272,11 @@ def tt_norm(a: TensorTrain) -> float:
 def _fix_svd_signs(u, vt):
     """Deterministic sign convention: first nonzero entry of each left
     singular vector is positive.  Flips ``u`` and ``vt`` in place."""
-    first = np.argmax(u != 0, axis=0)  # row 0 for an all-zero column
-    sign = np.where(u[first, np.arange(u.shape[1])] < 0, -1.0, 1.0)
+    lead = u[0]
+    if not lead.all():  # some column starts with zeros: find its first nonzero
+        first = np.argmax(u != 0, axis=0)  # row 0 for an all-zero column
+        lead = u[first, np.arange(u.shape[1])]
+    sign = np.where(lead < 0, -1.0, 1.0)
     u *= sign
     vt *= sign[:, None]
     return u, vt

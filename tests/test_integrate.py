@@ -14,7 +14,7 @@ from tthjb.integrate import (RankBudgetError, SolutionSnapshot, SolverConfig,
                              _step_quantities)
 from tthjb.operators import (PotentialSpec, PotentialTerm, build_potential_tt,
                              extract_quadratic)
-from tthjb.oracles import gaussian_eigen_bound, riccati_reference
+from tthjb.oracles import dense_nonlin, gaussian_eigen_bound, riccati_reference
 from tthjb.sample import covariance_error
 from tthjb.tt import tt_norm, tt_random, tt_to_dense
 
@@ -63,6 +63,8 @@ class TestSolverConfig:
             SolverConfig(T=1, tau_max=0.1, rho=1.5)
         with pytest.raises(ValueError):
             SolverConfig(T=1, tau_max=0.1, rho=[(0.5, 0.2)])  # must start at 0
+        with pytest.raises(ValueError, match="power_stability_window"):
+            SolverConfig(T=1, tau_max=0.1, power_stability_window=0)
 
 
 class TestPowerIteration:
@@ -137,6 +139,21 @@ class TestStepsizeRules:
         pnl = dnl[:4, :4]
         ref = np.sqrt(np.sum(dnl**2) - np.sum(pnl**2)) / np.linalg.norm(dnl)
         assert rel == pytest.approx(ref, rel=1e-10)
+
+    def test_projection_error_resolved_when_tiny(self):
+        # x^2 + y^2 + eps x^3: NL drops only the 9 eps^2 x^4 term, about 1e-10
+        # of |NL|, far below the round-off of |NL|^2 - |P NL|^2.
+        space = PolySpace([(-2.0, 2.0)] * 2, [3, 3])
+        spec = PotentialSpec(terms=[PotentialTerm((0,), {(2,): 1.0, (3,): 1e-5}),
+                                    PotentialTerm((1,), {(2,): 1.0})])
+        phi = build_potential_tt(spec, space)
+        rel = _step_quantities(SolutionSnapshot(0.0, phi), space).rel_proj
+        nl = dense_nonlin(tt_to_dense(phi), space)
+        dropped = nl.copy()
+        dropped[:4, :4] = 0.0
+        ref = np.linalg.norm(dropped) / np.linalg.norm(nl)
+        assert 1e-11 < ref < 1e-9
+        assert rel == pytest.approx(ref, rel=1e-6)
 
     def test_retraction_trivial_when_budget_sufficient(self):
         _, space, phi = gaussian_setup(2, seed=2)

@@ -3,19 +3,21 @@
 import numpy as np
 import pytest
 
-from tthjb.basis import PolySpace
+from tthjb.basis import (PolySpace, derivative_matrix, mapped_monomial_transform,
+                         ou_generator_matrix)
 from tthjb.integrate import SolutionSnapshot
 from tthjb.operators import (PotentialSpec, PotentialTerm, apply_lin,
                              apply_nonlin, apply_nonlin_linearized,
                              apply_partial, apply_stiffness, banana_monomials,
                              build_potential_tt, extract_quadratic,
-                             poly_multiply, prepare_stiffness, project_degree)
+                             poly_multiply, prepare_stiffness, project_degree,
+                             projection_norms)
 from tthjb.oracles import (dense_lin, dense_multiply, dense_nonlin,
                            dense_nonlin_linearized, dense_partial,
                            dense_project)
 from tthjb.sample import eval_v_batch
-from tthjb.tt import (tt_add_scaled, tt_from_dense, tt_inner, tt_norm, tt_random,
-                      tt_to_dense)
+from tthjb.tt import (laplace_like_sum, mode_apply, tt_add_scaled, tt_from_dense,
+                      tt_inner, tt_norm, tt_random, tt_to_dense)
 
 
 def snap(tt):
@@ -401,3 +403,104 @@ class TestExtractQuadratic:
         assert a0 == pytest.approx(0.0, abs=1e-10)
         np.testing.assert_allclose(b, 0.0, atol=1e-10)
         np.testing.assert_allclose(q, [[0, 1.5], [1.5, 0]], atol=1e-10)
+
+
+def _product_core_loop(hb, ha, t2_inv):
+    """Reference per-mode product: the shifted-accumulation loop over
+    mapped-monomial cores that the precontracted kernel replaces."""
+    n = hb.shape[1] - 1
+    kb, _, lb = hb.shape
+    ka, _, la = ha.shape
+    # pair[a, b, k, m, l, o] = hb[k, a, l] * ha[m, b, o]
+    pair = (hb.transpose(1, 0, 2)[:, None, :, None, :, None]
+            * ha.transpose(1, 0, 2)[None, :, None, :, None, :])
+    merged = np.zeros((2 * n + 1, kb, ka, lb, la))
+    for alpha in range(n + 1):
+        merged[alpha:alpha + n + 1] += pair[alpha]
+    merged = merged.transpose(1, 2, 0, 3, 4).reshape(kb * ka, 2 * n + 1, lb * la)
+    return mode_apply(t2_inv, merged)
+
+
+def _loop_operators(b, a, space, size):
+    """``poly_multiply(a, b)``, ``apply_nonlin_linearized(b, a)`` and
+    ``apply_stiffness(b, a)`` built from the reference loop.  With
+    ``size=True`` every matrix and core enters by its absolute value, which
+    gives the size of the terms each entry sums: round-off of any summation
+    order stays within a few dozen ulps of it."""
+    f = np.abs if size else (lambda x: x)
+    prod, base, repl, gen = [], [], [], []
+    for i, (cb, ca) in enumerate(zip(b.cores, a.cores)):
+        m = ca.shape[1]
+        t = f(mapped_monomial_transform(space.basis(i, m))[0])
+        t2_inv = f(mapped_monomial_transform(space.basis(i, 2 * m - 1))[1])
+        dx = f(derivative_matrix(space.basis(i, m)))
+        cb, ca = f(cb), f(ca)
+        prod.append(_product_core_loop(mode_apply(t, cb), mode_apply(t, ca), t2_inv))
+        base.append(prod[-1])
+        repl.append(_product_core_loop(mode_apply(t, mode_apply(dx, cb)),
+                                       mode_apply(t, mode_apply(dx, ca)), t2_inv))
+        gen.append(mode_apply(f(ou_generator_matrix(space.basis(i, m))), ca))
+    a_cores = [f(c) for c in a.cores]
+    nonlin = laplace_like_sum(base, repl)
+    kept = laplace_like_sum([c[:, :m] for c, m in zip(base, a.mode_sizes)],
+                            [c[:, :m] for c, m in zip(repl, a.mode_sizes)])
+    stiff = tt_add_scaled(laplace_like_sum(a_cores, gen), kept, 2.0 if size else -2.0)
+    return prod, nonlin.cores, stiff.cores
+
+
+class TestProductKernel:
+    """The precontracted product kernel against the loop it replaces, at
+    full rows (products, nonlinear part) and at the kept rows (stiffness)."""
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("degree", range(7))
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_matches_loop_reference(self, d, degree, rank):
+        intervals = [(-2.0, 2.0), (-5.0, 5.0), (-1.0, 3.0), (-2.0, 2.0), (0.0, 1.0)]
+        space = PolySpace(intervals[:d], [degree] * d)
+        rng = np.random.default_rng(100 * d + 10 * degree + rank)
+        b = tt_random(space.mode_sizes, (1,) + (rank,) * (d - 1) + (1,), rng)
+        a_ranks = tuple((rank + k) % 4 + 1 for k in range(d - 1))
+        a = tt_random(space.mode_sizes, (1,) + a_ranks + (1,), rng)
+        nonlin = apply_nonlin_linearized(b, a, space)[0].cores
+        got = (poly_multiply(a, b, space)[0].cores, [-nonlin[0]] + nonlin[1:],
+               apply_stiffness(b, a, space).cores)
+        ref = _loop_operators(b, a, space, size=False)
+        size = _loop_operators(b, a, space, size=True)
+        for got_op, ref_op, size_op in zip(got, ref, size):
+            for g, r, s in zip(got_op, ref_op, size_op):
+                assert g.shape == r.shape
+                assert np.all(np.abs(g - r) <= 1e-14 * s)
+
+    def test_stiffness_rejects_other_mode_sizes(self, space3):
+        rng = np.random.default_rng(23)
+        b = tt_random(space3.mode_sizes, (1, 2, 2, 1), rng)
+        a = tt_random((3, 3, 3), (1, 2, 2, 1), rng)
+        with pytest.raises(ValueError, match="mode sizes"):
+            apply_stiffness(b, a, space3)
+        with pytest.raises(ValueError, match="mode sizes"):
+            apply_nonlin_linearized(b, a, space3)
+
+
+class TestProjectionNorms:
+    def test_matches_dense_split(self):
+        rng = np.random.default_rng(24)
+        a = tt_random((5, 4, 7, 3), (1, 3, 4, 2, 1), rng)
+        degrees = [2, 3, 4, 0]
+        norm, dropped = projection_norms(a, degrees)
+        dense = tt_to_dense(a)
+        kept = dense[:3, :4, :5, :1]
+        assert norm == pytest.approx(np.linalg.norm(dense), rel=1e-13)
+        assert dropped == pytest.approx(
+            np.sqrt(np.sum(dense ** 2) - np.sum(kept ** 2)), rel=1e-12)
+
+    def test_nothing_dropped_and_bad_degrees(self):
+        rng = np.random.default_rng(25)
+        a = tt_random((3, 3), (1, 2, 1), rng)
+        norm, dropped = projection_norms(a, [2, 2])
+        assert dropped == 0.0
+        assert norm == pytest.approx(tt_norm(a), rel=1e-13)
+        with pytest.raises(ValueError):
+            projection_norms(a, [3, 2])
+        with pytest.raises(ValueError):
+            projection_norms(a, [2])

@@ -419,3 +419,16 @@ def test_svd_sign_fix_matches_loop_bitwise(shape):
     ref_u, ref_vt = _fix_svd_signs_loop(u.copy(), vt.copy())
     assert got_u.tobytes() == ref_u.tobytes()
     assert got_vt.tobytes() == ref_vt.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(5, 2), (12, 4), (30, 7)])
+def test_svd_sign_fix_without_leading_zeros_matches_loop_bitwise(shape):
+    # no zero in row 0: its signs decide (the test above covers the rest)
+    rng = np.random.default_rng(shape[0] * 17 + shape[1])
+    u = rng.standard_normal(shape)
+    assert np.all(u[0] != 0.0)
+    vt = rng.standard_normal((shape[1], 6))
+    got_u, got_vt = _fix_svd_signs(u.copy(), vt.copy())
+    ref_u, ref_vt = _fix_svd_signs_loop(u.copy(), vt.copy())
+    assert got_u.tobytes() == ref_u.tobytes()
+    assert got_vt.tobytes() == ref_vt.tobytes()
