@@ -16,9 +16,8 @@ from .sample import (SampleBatch, SamplerConfig, eval_v,
                      eval_v_batch, grad_v, grad_v_batch, reverse_sample,
                      reverse_sample_scored)
 from .tt import (TensorTrain, check_finite, read_checkpoint, tt_add_scaled,
-                 tt_apply_mode_matrix, tt_contract_mode_vectors, tt_from_dense,
-                 tt_inner, tt_laplace_like_apply, tt_norm, tt_random,
-                 tt_rank_one, tt_round, tt_scale, tt_to_dense, tt_zero,
+                 tt_contract_mode_vectors, tt_from_dense, tt_inner, tt_norm,
+                 tt_random, tt_round, tt_scale, tt_to_dense, tt_zero,
                  write_checkpoint)
 
 __version__ = "0.1.0"
@@ -38,8 +37,7 @@ __all__ = [
     "eval_v_batch", "grad_v", "grad_v_batch", "reverse_sample",
     "reverse_sample_scored",
     "TensorTrain", "check_finite", "read_checkpoint", "tt_add_scaled",
-    "tt_apply_mode_matrix",
-    "tt_contract_mode_vectors", "tt_from_dense", "tt_inner",
-    "tt_laplace_like_apply", "tt_norm", "tt_random", "tt_rank_one", "tt_round",
-    "tt_scale", "tt_to_dense", "tt_zero", "write_checkpoint",
+    "tt_contract_mode_vectors", "tt_from_dense", "tt_inner", "tt_norm",
+    "tt_random", "tt_round", "tt_scale", "tt_to_dense", "tt_zero",
+    "write_checkpoint",
 ]

@@ -45,14 +45,6 @@ def monomial_derivative(n: int) -> np.ndarray:
     return m
 
 
-def monomial_x_multiply(n: int) -> np.ndarray:
-    """Multiplication by x, truncated to degree n: entry [k+1, k] = 1."""
-    m = np.zeros((n + 1, n + 1))
-    for k in range(n):
-        m[k + 1, k] = 1.0
-    return m
-
-
 @dataclass(frozen=True)
 class LegendreBasis:
     """Orthonormal Legendre basis of maximum degree ``n`` on ``[a, b]``.
@@ -225,11 +217,6 @@ def ou_generator_matrix(basis: LegendreBasis) -> np.ndarray:
 def derivative_matrix(basis: LegendreBasis) -> np.ndarray:
     """Legendre-coefficient action of ``v -> v'`` (cached, read-only)."""
     return basis.T_inv @ monomial_derivative(basis.n) @ basis.T
-
-
-def x_multiplication_matrix(basis: LegendreBasis) -> np.ndarray:
-    """Legendre-coefficient action of ``v -> x v`` truncated to degree n."""
-    return basis.T_inv @ monomial_x_multiply(basis.n) @ basis.T
 
 
 class PolySpace:

@@ -205,9 +205,9 @@ def cmd_solve(config_path: str, stride: int = 1, timings: bool = False) -> int:
     return 0
 
 
-def _load_trajectory(manifest: dict, manifest_dir: str) -> Trajectory:
+def _load_trajectory(files, manifest_dir: str) -> Trajectory:
     snaps = []
-    for name in manifest["files"]:
+    for name in files:
         tt, t = read_checkpoint(os.path.join(manifest_dir, name))
         snaps.append(SolutionSnapshot(t=t, coeffs=tt))
     snaps.sort(key=lambda s: s.t)
@@ -220,6 +220,7 @@ def cmd_sample(manifest_path: str, particles=None, lam=None, langevin_steps=None
         with open(manifest_path) as fh:
             manifest = json.load(fh)
         space, _, solver, sampler, _ = parse_run_config(manifest["config"])
+        files = manifest["files"]
     except (OSError, json.JSONDecodeError, KeyError, ConfigError) as exc:
         print(f"cannot load manifest: {exc}", file=sys.stderr)
         return 1
@@ -237,11 +238,15 @@ def cmd_sample(manifest_path: str, particles=None, lam=None, langevin_steps=None
 
     out_dir = os.path.dirname(os.path.abspath(manifest_path))
     try:
-        traj = _load_trajectory(manifest, out_dir)
+        traj = _load_trajectory(files, out_dir)
     except (OSError, ValueError) as exc:
         print(f"cannot load snapshot: {exc}", file=sys.stderr)
         return 1
-    batch = reverse_sample(traj, space, sampler, solver)
+    try:
+        batch = reverse_sample(traj, space, sampler, solver)
+    except ValueError as exc:
+        print(f"cannot sample: {exc}", file=sys.stderr)
+        return 1
 
     csv_path = os.path.join(out_dir, "samples.csv")
     with open(csv_path, "w", newline="") as fh:

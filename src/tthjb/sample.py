@@ -11,25 +11,21 @@ optionally followed by unadjusted Langevin steps targeting the same
 intermediate density.  ``lambda = 1`` is the deterministic flow; its noise
 is never drawn, so that path is bit-reproducible.
 
+All particles advance together as one ``(I, d)`` batch on one thread.
 Randomness comes from counter-based Philox streams keyed by (seed, stream
-index); every draw is an (I, d) block whose rows are the particles, so the
-result is independent of how particles are scheduled or chunked.
+index): stream 0 draws the initial block and every later draw is one
+``(I, d)`` block whose rows are the particles.
 """
 
 from __future__ import annotations
 
-import inspect
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from threading import Lock
 
 import numpy as np
 from scipy.special import ndtri
 
 from .basis import PolySpace
 from .integrate import SolverConfig, SolutionSnapshot, Trajectory, evaluate_at_time
-from .operators import covariance_error  # noqa: F401  (kept importable from here)
 
 NORMAL_TRANSFORM = "inverse_cdf"  # recorded in run metadata
 
@@ -148,88 +144,64 @@ def count_out_of_domain(space: PolySpace, xs: np.ndarray) -> np.ndarray:
 # Reverse-time sampling
 # ----------------------------------------------------------------------
 
-def _chunk_ranges(total: int, workers: int):
-    size = -(-total // workers)
-    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
-
-
-def reverse_sample_scored(grad_fn, times, d: int, scfg: SamplerConfig,
-                          threads: int | None = None) -> SampleBatch:
-    """Run the reverse process against an arbitrary score surrogate.
-
-    ``grad_fn(s, z)`` must return the gradient of the surrogate negative
-    log-density at diffusion time ``s`` for an ``(m, d)`` batch ``z``;
-    ``times`` is the increasing sampling grid from 0 to the horizon.  A
-    callable accepting a third argument also receives the particle indices
-    of the batch (used for per-particle bookkeeping under chunking).
-    """
+def _sampling_grid(times) -> np.ndarray:
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing with >= 2 entries")
+    return times
+
+
+def reverse_sample_scored(grad_fn, times, d: int, scfg: SamplerConfig) -> SampleBatch:
+    """Run the reverse process against an arbitrary score surrogate.
+
+    ``grad_fn(s, z)`` must return the gradient of the surrogate negative
+    log-density at diffusion time ``s = times[-1] - times[n]`` for the
+    ``(I, d)`` batch ``z`` of all particles, rows in particle order;
+    ``times`` is the increasing sampling grid from 0 to the horizon.  ``z``
+    is always finite: a particle whose update has a non-finite entry keeps
+    its last state and is flagged in ``aborted``.
+    """
+    times = _sampling_grid(times)
     horizon = times[-1]
     total = scfg.n_particles
     if total == 0:
         return SampleBatch(d=d, samples=np.zeros((0, d)),
                            oob_counts=np.zeros(0, dtype=np.int64),
                            aborted=np.zeros(0, dtype=bool))
-    if threads is None:
-        threads = max(1, int(os.environ.get("TTHJB_THREADS", "1")))
-    try:
-        takes_rows = len(inspect.signature(grad_fn).parameters) >= 3
-    except (TypeError, ValueError):
-        takes_rows = False
-
     lam = scfg.lam
-    n_steps = times.size - 1
     L = scfg.langevin_steps
+    z = _normals(scfg.seed, 0, (total, d))
+    aborted = np.zeros(total, dtype=bool)
 
-    def run_chunk(lo: int, hi: int):
-        rows = np.arange(lo, hi)
-        z = _normals(scfg.seed, 0, (total, d))[lo:hi]
-        aborted = np.zeros(hi - lo, dtype=bool)
+    def apply(update):
+        nonlocal z
+        nxt = np.where(aborted[:, None], z, update)
+        bad = ~np.all(np.isfinite(nxt), axis=1) & ~aborted
+        nxt[bad] = z[bad]
+        aborted[bad] = True
+        z = nxt
 
-        def grad(s, batch):
-            return grad_fn(s, batch, rows) if takes_rows else grad_fn(s, batch)
-
-        def apply(update):
-            nonlocal z
-            nxt = np.where(aborted[:, None], z, update)
-            bad = ~np.all(np.isfinite(nxt), axis=1) & ~aborted
-            nxt[bad] = z[bad]
-            aborted[bad] = True
-            z = nxt
-
-        stream = 1
-        for n in range(n_steps):
-            tau = times[n + 1] - times[n]
-            s = horizon - times[n]
-            g = grad(s, z)
-            drift = z + (z - (2.0 - lam) * g) * tau
-            if lam != 1.0:
-                xi = _normals(scfg.seed, stream, (total, d))[lo:hi]
-                stream += 1
-                drift = drift + np.sqrt(2.0 * (1.0 - lam) * tau) * xi
-            apply(drift)
-            for _ in range(L):
-                g = grad(s, z)
-                xi = _normals(scfg.seed, stream, (total, d))[lo:hi]
-                stream += 1
-                apply(z - scfg.langevin_tau * g
-                      + np.sqrt(2.0 * scfg.langevin_tau) * xi)
-        return z, aborted
-
-    if threads <= 1 or total < 2 * threads:
-        parts = [run_chunk(0, total)]
-    else:
-        ranges = _chunk_ranges(total, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda r: run_chunk(*r), ranges))
-    samples = np.concatenate([p[0] for p in parts], axis=0)
-    aborted = np.concatenate([p[1] for p in parts], axis=0)
+    stream = 1
+    for n in range(times.size - 1):
+        tau = times[n + 1] - times[n]
+        s = horizon - times[n]
+        g = grad_fn(s, z)
+        drift = z + (z - (2.0 - lam) * g) * tau
+        if lam != 1.0:
+            xi = _normals(scfg.seed, stream, (total, d))
+            stream += 1
+            drift = drift + np.sqrt(2.0 * (1.0 - lam) * tau) * xi
+        apply(drift)
+        for _ in range(L):
+            g = grad_fn(s, z)
+            xi = _normals(scfg.seed, stream, (total, d))
+            stream += 1
+            apply(z - scfg.langevin_tau * g
+                  + np.sqrt(2.0 * scfg.langevin_tau) * xi)
     if np.mean(aborted) > 0.10:
         raise RuntimeError(
             f"{int(aborted.sum())} of {total} particles diverged (> 10%)")
-    return SampleBatch(d=d, samples=samples,
+    return SampleBatch(d=d, samples=z,
                        oob_counts=np.zeros(total, dtype=np.int64),
                        aborted=aborted,
                        metadata={"normal_transform": NORMAL_TRANSFORM,
@@ -240,54 +212,45 @@ def reverse_sample_scored(grad_fn, times, d: int, scfg: SamplerConfig,
 
 
 def reverse_sample(traj: Trajectory, space: PolySpace, scfg: SamplerConfig,
-                   cfg: SolverConfig, times=None,
-                   threads: int | None = None) -> SampleBatch:
+                   cfg: SolverConfig, times=None) -> SampleBatch:
     """Sample the target density from a completed solve.
 
     Defaults to the solver grid reversed (``t_n = T - t_{N-n}``, shared by
     all particles); a custom increasing grid on ``[0, T]`` may be supplied,
-    off-grid times are bridged with single Euler steps.  Out-of-domain
-    basis evaluations are counted per particle; when ``clamp_to_domain`` is
-    set, score evaluations use the coordinates projected onto the hypercube
-    instead (the particle state is untouched).
+    off-grid times are bridged with single Euler steps before the first
+    reverse step.  Out-of-domain basis evaluations are counted per
+    particle; when ``clamp_to_domain`` is set, score evaluations use the
+    coordinates projected onto the hypercube instead (the particle state is
+    untouched) and the counts stay 0.
     """
     if not traj.is_complete(cfg.T):
-        raise ValueError("trajectory did not reach the horizon")
-    solver_times = traj.times
-    horizon = solver_times[-1]
-    cache: dict[float, SolutionSnapshot] = {s.t: s for s in traj.snapshots}
+        raise ValueError(f"trajectory did not reach the horizon T={cfg.T}")
+    snaps: dict[float, SolutionSnapshot] = {s.t: s for s in traj.snapshots}
     if times is None:
-        times = np.asarray([horizon - t for t in reversed(solver_times)])
+        horizon = traj.snapshots[-1].t
+        times = np.asarray([horizon - s.t for s in reversed(traj.snapshots)])
         # Step n asks for diffusion time times[-1] - times[n], which is
         # t_{N-n} only up to round-off; key snapshot N-n by that exact float.
-        cache.update((times[-1] - tn, snap)
+        snaps.update((times[-1] - tn, snap)
                      for tn, snap in zip(times, reversed(traj.snapshots)))
-    times = np.asarray(times, dtype=np.float64)
+    times = _sampling_grid(times)
+    for tn in times[:-1]:
+        s = times[-1] - tn
+        if s not in snaps:
+            snaps[s] = evaluate_at_time(traj, s, space, cfg)
     d = traj.snapshots[0].coeffs.d
-
-    cache_lock = Lock()
     lo = np.array([a for a, _ in space.intervals])
     hi = np.array([b for _, b in space.intervals])
-    oob_total = np.zeros(scfg.n_particles, dtype=np.int64)
+    oob_counts = np.zeros(scfg.n_particles, dtype=np.int64)
 
-    def grad_fn(s, z, rows):
-        snap = cache.get(s)
-        if snap is None:
-            with cache_lock:
-                snap = cache.get(s)
-                if snap is None:
-                    snap = evaluate_at_time(traj, s, space, cfg)
-                    cache[s] = snap
+    def grad_fn(s, z):
         if scfg.clamp_to_domain:
             z = np.clip(z, lo, hi)
         else:
-            finite = np.all(np.isfinite(z), axis=1)
-            counts = np.zeros(z.shape[0], dtype=np.int64)
-            counts[finite] = np.sum((z[finite] < lo) | (z[finite] > hi), axis=1)
-            oob_total[rows] += counts  # chunks own disjoint row ranges
-        return grad_v_batch(snap, space, z)
+            oob_counts[:] += count_out_of_domain(space, z)
+        return grad_v_batch(snaps[s], space, z)
 
-    batch = reverse_sample_scored(grad_fn, times, d, scfg, threads=threads)
-    batch.oob_counts = oob_total
+    batch = reverse_sample_scored(grad_fn, times, d, scfg)
+    batch.oob_counts = oob_counts
     batch.metadata["clamp_to_domain"] = scfg.clamp_to_domain
     return batch

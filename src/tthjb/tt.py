@@ -115,12 +115,6 @@ def tt_zero(mode_sizes) -> TensorTrain:
     return TensorTrain._trusted([np.zeros((1, m, 1)) for m in mode_sizes])
 
 
-def tt_rank_one(vectors) -> TensorTrain:
-    """TT of the outer product of the given per-mode vectors."""
-    return TensorTrain([np.asarray(v, dtype=np.float64).reshape(1, -1, 1)
-                        for v in vectors])
-
-
 def tt_random(mode_sizes, ranks, rng) -> TensorTrain:
     """Random TT with standard-normal core entries and the given ranks."""
     mode_sizes = tuple(int(m) for m in mode_sizes)
@@ -354,16 +348,6 @@ def tt_contract_mode_vectors(a: TensorTrain, vs) -> float:
     return float(env[0])
 
 
-def tt_apply_mode_matrix(a: TensorTrain, i: int, m: np.ndarray) -> TensorTrain:
-    """Apply a matrix to mode ``i`` (may change that mode size)."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[1] != a.mode_sizes[i]:
-        raise ValueError("matrix columns must match mode size")
-    cores = [c.copy() for c in a.cores]
-    cores[i] = mode_apply(m, cores[i])
-    return TensorTrain(cores)
-
-
 def laplace_like_sum(base_cores, replaced_cores) -> TensorTrain:
     """TT of ``sum_i (base_1, ..., replaced_i, ..., base_d)``.
 
@@ -392,22 +376,6 @@ def laplace_like_sum(base_cores, replaced_cores) -> TensorTrain:
             blk[r0:, :, r1:] = b
             cores.append(blk)
     return TensorTrain._trusted(cores)
-
-
-def tt_laplace_like_apply(a: TensorTrain, ms) -> TensorTrain:
-    """Apply ``sum_i (I x ... x ms[i] x ... x I)`` to ``a``.
-
-    Interior output ranks are exactly ``2 * a.ranks`` (no rounding here).
-    """
-    if len(ms) != a.d:
-        raise ValueError("need one matrix per mode")
-    replaced = []
-    for i, m in enumerate(ms):
-        m = np.asarray(m, dtype=np.float64)
-        if m.shape != (a.mode_sizes[i],) * 2:
-            raise ValueError(f"matrix {i} must be square of the mode size")
-        replaced.append(mode_apply(m, a.cores[i]))
-    return laplace_like_sum(a.cores, replaced)
 
 
 # ----------------------------------------------------------------------

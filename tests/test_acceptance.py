@@ -18,15 +18,15 @@ from tthjb.integrate import (SolutionSnapshot, SolverConfig,
                              power_iteration_bound, solve_hjb)
 from tthjb.operators import (PotentialSpec, apply_lin, apply_nonlin,
                              apply_nonlin_linearized, apply_partial,
-                             build_potential_tt, extract_quadratic,
-                             poly_multiply, project_degree)
+                             build_potential_tt, covariance_error,
+                             extract_quadratic, poly_multiply, project_degree)
 from tthjb.oracles import (dense_lin, dense_multiply, dense_nonlin,
                            dense_nonlin_linearized, dense_partial,
                            dense_project, gaussian_eigen_bound,
                            quadratic_tt_cores, quadrature_score_2d,
                            riccati_reference)
-from tthjb.sample import (SamplerConfig, covariance_error, eval_v_batch,
-                          grad_v_batch, reverse_sample, reverse_sample_scored)
+from tthjb.sample import (SamplerConfig, eval_v_batch, grad_v_batch,
+                          reverse_sample, reverse_sample_scored)
 from tthjb.tt import (read_checkpoint, tt_from_dense, tt_random, tt_round,
                       tt_to_dense, write_checkpoint)
 

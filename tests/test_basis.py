@@ -6,8 +6,7 @@ import pytest
 from tthjb.basis import (DEGREE_CAP, PolySpace, build_basis, derivative_matrix,
                          mapped_monomial_transform,
                          monomial_derivative, monomial_second_derivative,
-                         monomial_x_derivative, ou_generator_matrix,
-                         x_multiplication_matrix)
+                         monomial_x_derivative, ou_generator_matrix)
 
 SQ2 = np.sqrt(2.0)
 
@@ -178,7 +177,8 @@ class TestOperatorMatrices:
         bs = build_basis(-1.0, 1.0, 8)
         d = ou_generator_matrix(bs)
         dx = derivative_matrix(bs)
-        xm = x_multiplication_matrix(bs)
+        shift = np.eye(9, k=-1)  # monomial x-multiplication truncated to degree 8
+        xm = bs.T_inv @ shift @ bs.T
         composed = dx @ dx + xm @ dx
         rng = np.random.default_rng(5)
         coef = np.zeros(9)

@@ -199,6 +199,25 @@ class TestSampleCommand:
         assert err.startswith("cannot load snapshot:") and err.count("\n") == 1
         assert not (solved.parent / "samples.csv").exists()
 
+    def test_manifest_without_files_exits_1(self, solved, capsys):
+        manifest = json.loads(solved.read_text())
+        del manifest["files"]
+        solved.write_text(json.dumps(manifest))
+        assert main(["sample", str(solved)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot load manifest:") and err.count("\n") == 1
+
+    def test_snapshots_short_of_horizon_exit_1(self, solved, capsys):
+        manifest = json.loads(solved.read_text())
+        files = manifest["files"]
+        del files[max(files, key=files.get)]
+        solved.write_text(json.dumps(manifest))
+        assert main(["sample", str(solved)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot sample:") and "horizon" in err
+        assert err.count("\n") == 1
+        assert not (solved.parent / "samples.csv").exists()
+
     def test_overrides_recorded(self, solved):
         assert main(["sample", str(solved), "--particles", "16",
                      "--langevin-steps", "2", "--langevin-tau", "0.01"]) == 0

@@ -13,9 +13,8 @@ from tthjb.integrate import (RankBudgetError, SolutionSnapshot, SolverConfig,
                              stepsize_retraction, stepsize_stiffness,
                              _step_quantities)
 from tthjb.operators import (PotentialSpec, PotentialTerm, build_potential_tt,
-                             extract_quadratic)
+                             covariance_error, extract_quadratic)
 from tthjb.oracles import dense_nonlin, gaussian_eigen_bound, riccati_reference
-from tthjb.sample import covariance_error
 from tthjb.tt import tt_norm, tt_random, tt_to_dense
 
 

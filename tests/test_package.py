@@ -1,17 +1,36 @@
 """Package-level properties of ``import tthjb``."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_import_does_not_load_scipy_linalg():
     # scipy.linalg raises peak memory and start-up time of every command;
     # the package uses numpy.linalg and scipy.special only.
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    src = os.path.join(ROOT, "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, tthjb; print('scipy.linalg' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_benchmark_trace_targets_exist():
+    # perfbench's traced mode replaces these names at run time and fails
+    # with AttributeError when one of them is gone.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for modname, attr, _, _ in tracing.WRAPPED:
+        module = importlib.import_module(f"tthjb.{modname}")
+        assert callable(getattr(module, attr, None)), f"tthjb.{modname}.{attr}"
+    for modname, cls_name, attr, _ in tracing.WRAPPED_METHODS:
+        cls = getattr(importlib.import_module(f"tthjb.{modname}"), cls_name)
+        assert callable(getattr(cls, attr, None)), f"tthjb.{modname}.{cls_name}.{attr}"

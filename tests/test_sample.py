@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
+from tthjb import sample
 from tthjb.basis import PolySpace
-from tthjb.integrate import SolutionSnapshot, SolverConfig, solve_hjb
+from tthjb.integrate import SolutionSnapshot, SolverConfig, Trajectory, solve_hjb
 from tthjb.operators import (PotentialSpec, PotentialTerm, build_potential_tt,
-                             extract_quadratic)
+                             covariance_error, extract_quadratic)
 from tthjb.oracles import riccati_reference
 from tthjb.sample import (SampleBatch, SamplerConfig, count_out_of_domain,
-                          covariance_error, eval_v, eval_v_batch, grad_v,
-                          grad_v_batch, reverse_sample, reverse_sample_scored)
+                          eval_v, eval_v_batch, grad_v, grad_v_batch,
+                          reverse_sample, reverse_sample_scored)
 from tthjb.tt import tt_random
 
 
@@ -128,17 +129,6 @@ class TestScoredSampler:
                                      SamplerConfig(lam=1.0, n_particles=500, seed=3))
         np.testing.assert_allclose(b1.samples, init.samples, atol=1e-12)
 
-    def test_determinism_across_chunking(self):
-        times = np.linspace(0.0, 2.0, 51)
-
-        def grad_fn(s, z):
-            return z
-
-        scfg = SamplerConfig(lam=0.0, n_particles=1003, seed=11)
-        serial = reverse_sample_scored(grad_fn, times, 3, scfg, threads=1)
-        chunked = reverse_sample_scored(grad_fn, times, 3, scfg, threads=4)
-        np.testing.assert_array_equal(serial.samples, chunked.samples)
-
     def test_few_divergent_particles_are_frozen_and_flagged(self):
         times = np.linspace(0.0, 1.0, 11)
 
@@ -237,11 +227,58 @@ class TestTrajectorySampler:
 
     def test_incomplete_trajectory_rejected(self, solved):
         _, space, cfg, traj = solved
-        from tthjb.integrate import Trajectory
         broken = Trajectory(snapshots=traj.snapshots[:-1], error="aborted")
         scfg = SamplerConfig(lam=0.0, n_particles=10, seed=1)
         with pytest.raises(ValueError):
             reverse_sample(broken, space, scfg, cfg)
+
+
+class TestDomainClamp:
+    """With ``clamp_to_domain`` the score is evaluated at the particles
+    projected onto the box and nothing is counted; without it every
+    out-of-domain coordinate of every evaluation is counted."""
+
+    @staticmethod
+    def run(monkeypatch, clamp):
+        space, snap = standard_half_norm(2, intervals=(-0.5, 0.5))
+        traj = Trajectory(snapshots=[SolutionSnapshot(t, snap.coeffs)
+                                     for t in np.linspace(0.0, 1.0, 11)])
+        states, points = [], []
+        real_scored, real_grad = sample.reverse_sample_scored, sample.grad_v_batch
+
+        def scored(grad_fn, times, d, scfg):
+            def recording(s, z):
+                states.append(z.copy())
+                return grad_fn(s, z)
+            return real_scored(recording, times, d, scfg)
+
+        def grad(snap, space, xs):
+            points.append(xs.copy())
+            return real_grad(snap, space, xs)
+
+        monkeypatch.setattr(sample, "reverse_sample_scored", scored)
+        monkeypatch.setattr(sample, "grad_v_batch", grad)
+        scfg = SamplerConfig(n_particles=200, langevin_steps=1, seed=8,
+                             clamp_to_domain=clamp)
+        batch = reverse_sample(traj, space, scfg, SolverConfig(T=1.0, tau_max=0.1))
+        assert len(states) == len(points) == 20  # 10 reverse + 10 Langevin steps
+        return space, batch, states, points
+
+    def test_clamped_scores_count_nothing(self, monkeypatch):
+        space, batch, states, points = self.run(monkeypatch, clamp=True)
+        for z, xs in zip(states, points):
+            np.testing.assert_array_equal(xs, np.clip(z, -0.5, 0.5))
+        assert sum(count_out_of_domain(space, z).sum() for z in states) > 0
+        assert not batch.oob_counts.any()
+        assert batch.metadata["clamp_to_domain"] is True
+
+    def test_unclamped_counts_every_evaluation(self, monkeypatch):
+        space, batch, states, points = self.run(monkeypatch, clamp=False)
+        for z, xs in zip(states, points):
+            np.testing.assert_array_equal(xs, z)
+        expected = sum(count_out_of_domain(space, z) for z in states)
+        assert expected.sum() > 0
+        np.testing.assert_array_equal(batch.oob_counts, expected)
 
 
 class TestSamplerConfig:

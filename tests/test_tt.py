@@ -4,16 +4,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tthjb.tt import (TensorTrain, _fix_svd_signs, read_checkpoint,
-                      right_orthogonalize, tt_add_scaled,
-                      tt_apply_mode_matrix, tt_contract_mode_vectors,
-                      tt_from_dense, tt_inner, tt_laplace_like_apply, tt_norm,
-                      tt_random, tt_rank_one, tt_round, tt_scale, tt_to_dense,
+from tthjb.tt import (TensorTrain, _fix_svd_signs, laplace_like_sum, mode_apply,
+                      read_checkpoint, right_orthogonalize, tt_add_scaled,
+                      tt_contract_mode_vectors, tt_from_dense, tt_inner,
+                      tt_norm, tt_random, tt_round, tt_scale, tt_to_dense,
                       tt_zero, write_checkpoint)
 
 
 def random_tt(rng, mode_sizes, ranks):
     return tt_random(mode_sizes, (1,) + tuple(ranks) + (1,), rng)
+
+
+def apply_mode_matrix(a, i, m):
+    """``a`` with ``m`` applied to mode ``i``."""
+    cores = list(a.cores)
+    cores[i] = mode_apply(m, cores[i])
+    return TensorTrain(cores)
+
+
+def laplace_like_apply(a, ms):
+    """``sum_i (I x ... x ms[i] x ... x I) a``."""
+    return laplace_like_sum(a.cores, [mode_apply(m, c) for m, c in zip(ms, a.cores)])
 
 
 class TestConstruction:
@@ -42,7 +53,7 @@ class TestConstruction:
 
     def test_rank_one_outer_product(self):
         u, v = np.array([1.0, 2.0]), np.array([3.0, -1.0, 0.5])
-        tt = tt_rank_one([u, v])
+        tt = TensorTrain([u.reshape(1, -1, 1), v.reshape(1, -1, 1)])
         np.testing.assert_allclose(tt_to_dense(tt), np.outer(u, v))
 
     def test_shape_chain_validated(self):
@@ -223,20 +234,20 @@ class TestModeMatrix:
     def test_identity_is_noop(self):
         rng = np.random.default_rng(19)
         a = random_tt(rng, (3, 4, 3), (2, 2))
-        out = tt_apply_mode_matrix(a, 1, np.eye(4))
+        out = apply_mode_matrix(a, 1, np.eye(4))
         np.testing.assert_allclose(tt_to_dense(out), tt_to_dense(a), atol=1e-14)
 
     def test_zero_matrix_kills_tensor(self):
         rng = np.random.default_rng(20)
         a = random_tt(rng, (3, 4), (2,))
-        out = tt_apply_mode_matrix(a, 0, np.zeros((3, 3)))
+        out = apply_mode_matrix(a, 0, np.zeros((3, 3)))
         assert tt_norm(out) == 0.0
 
     def test_matches_dense_and_may_grow_mode(self):
         rng = np.random.default_rng(21)
         a = random_tt(rng, (3, 4, 3), (2, 2))
         m = rng.standard_normal((6, 4))
-        out = tt_apply_mode_matrix(a, 1, m)
+        out = apply_mode_matrix(a, 1, m)
         assert out.mode_sizes == (3, 6, 3)
         assert out.ranks == a.ranks
         ref = np.moveaxis(np.tensordot(m, tt_to_dense(a), axes=(1, 1)), 0, 1)
@@ -247,22 +258,22 @@ class TestLaplaceLike:
     def test_all_zero_matrices(self):
         rng = np.random.default_rng(22)
         a = random_tt(rng, (3, 3, 3), (2, 2))
-        out = tt_laplace_like_apply(a, [np.zeros((3, 3))] * 3)
+        out = laplace_like_apply(a, [np.zeros((3, 3))] * 3)
         assert tt_norm(out) == 0.0
 
     def test_d1_reduces_to_mode_matrix(self):
         rng = np.random.default_rng(23)
         a = TensorTrain([rng.standard_normal((1, 4, 1))])
         m = rng.standard_normal((4, 4))
-        got = tt_laplace_like_apply(a, [m])
-        ref = tt_apply_mode_matrix(a, 0, m)
+        got = laplace_like_apply(a, [m])
+        ref = apply_mode_matrix(a, 0, m)
         np.testing.assert_allclose(tt_to_dense(got), tt_to_dense(ref), atol=1e-13)
 
     def test_matches_dense_sum_and_doubles_ranks(self):
         rng = np.random.default_rng(24)
         a = random_tt(rng, (3, 4, 3), (2, 3))
         ms = [rng.standard_normal((m, m)) for m in a.mode_sizes]
-        out = tt_laplace_like_apply(a, ms)
+        out = laplace_like_apply(a, ms)
         assert out.interior_ranks == (4, 6)
         da = tt_to_dense(a)
         ref = np.zeros_like(da)
