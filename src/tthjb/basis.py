@@ -2,16 +2,16 @@
 
 For an interval ``[a, b]`` the basis functions are
 
-    p_k(x) = sqrt((2k + 1) / (b - a)) * P_k(2 (x - a) / (b - a) - 1)
+    p_k(x) = sigma_k P_k(u),   sigma_k = sqrt((2k + 1) / (b - a)),
 
-with ``P_k`` the classical Legendre polynomials, so that
-``integral_a^b p_j p_k dx = delta_jk``.  The transform ``T`` maps Legendre
-coefficients to coefficients of the plain monomials ``1, x, x^2, ...`` in the
-*unmapped* variable on ``[a, b]``; the operator matrices below therefore act
-on monomial coefficients and are interval independent.
-
-The degree is capped at :data:`DEGREE_CAP` because the monomial transform is
-exponentially ill-conditioned in the degree.
+with ``P_k`` the classical Legendre polynomials of the mapped variable
+``u = s x + t``, ``s = 2 / (b - a)``, ``t = -(a + b) / (b - a)``, so that
+``integral_a^b p_j p_k dx = delta_jk``.  Products, derivatives and the
+drift-diffusion generator act on Legendre coefficients directly: each is a
+unit-interval identity of :mod:`numpy.polynomial.legendre` (``legmul``,
+``legder``, ``legmulx``) conjugated by the scales ``sigma_k``.  No monomial
+basis is involved, so conditioning does not limit the degree, and on
+symmetric intervals every parity zero is exact.
 """
 
 from __future__ import annotations
@@ -20,46 +20,16 @@ from dataclasses import dataclass
 from functools import lru_cache, wraps
 
 import numpy as np
-
-DEGREE_CAP = 12
-
-
-def monomial_second_derivative(n: int) -> np.ndarray:
-    """Monomial coefficients of d^2/dx^2: entry [k-2, k] = k (k - 1)."""
-    m = np.zeros((n + 1, n + 1))
-    for k in range(2, n + 1):
-        m[k - 2, k] = k * (k - 1)
-    return m
-
-
-def monomial_x_derivative(n: int) -> np.ndarray:
-    """Monomial coefficients of x d/dx: diagonal 0, 1, ..., n."""
-    return np.diag(np.arange(n + 1, dtype=np.float64))
-
-
-def monomial_derivative(n: int) -> np.ndarray:
-    """Monomial coefficients of d/dx: entry [k-1, k] = k."""
-    m = np.zeros((n + 1, n + 1))
-    for k in range(1, n + 1):
-        m[k - 1, k] = k
-    return m
+from numpy.polynomial import legendre as leg
 
 
 @dataclass(frozen=True)
 class LegendreBasis:
-    """Orthonormal Legendre basis of maximum degree ``n`` on ``[a, b]``.
-
-    ``T`` maps Legendre coefficients to monomial coefficients (column ``k``
-    holds the monomial expansion of ``p_k``); ``T_inv`` is its inverse,
-    computed by triangular back-substitution so the parity zero pattern is
-    bitwise exact on symmetric intervals.
-    """
+    """Orthonormal Legendre basis of maximum degree ``n`` on ``[a, b]``."""
 
     a: float
     b: float
     n: int
-    T: np.ndarray
-    T_inv: np.ndarray
 
     def _mapped(self, x):
         return 2.0 * (np.asarray(x, dtype=np.float64) - self.a) / (self.b - self.a) - 1.0
@@ -109,62 +79,13 @@ class LegendreBasis:
 def build_basis(a: float, b: float, n: int) -> LegendreBasis:
     """Construct (and cache) the orthonormal Legendre basis on ``[a, b]``.
 
-    Raises for ``a >= b`` and for ``n`` beyond :data:`DEGREE_CAP` (the
-    monomial transform would lose too much precision).
+    Raises for ``a >= b`` and for negative ``n``.
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    if n < 0 or n > DEGREE_CAP:
-        raise ValueError(
-            f"degree {n} outside [0, {DEGREE_CAP}]; the Legendre-monomial "
-            "transform is too ill-conditioned beyond the cap")
-    # Monomial coefficients of P_k(u(x)) in the raw variable, u = s*x + t.
-    s = 2.0 / (b - a)
-    t = -(a + b) / (b - a)
-    T = np.zeros((n + 1, n + 1))
-    prev = np.zeros(n + 1)
-    prev[0] = 1.0
-    T[:, 0] = prev
-    if n >= 1:
-        cur = np.zeros(n + 1)
-        cur[0] = t
-        cur[1] = s
-        T[:, 1] = cur
-        for k in range(1, n):
-            ucur = t * cur
-            ucur[1:] += s * cur[:-1]
-            nxt = ((2 * k + 1) * ucur - k * prev) / (k + 1)
-            T[:, k + 1] = nxt
-            prev, cur = cur, nxt
-    T *= np.sqrt((2 * np.arange(n + 1) + 1) / (b - a))[None, :]
-    T_inv = _invert_upper_triangular(T)
-    # Newton-Schulz refinement keeps ||T T_inv - I|| near machine precision
-    # at the degree cap; same-parity products leave the zero pattern intact.
-    eye = np.eye(n + 1)
-    best = T_inv
-    best_res = np.max(np.abs(T @ T_inv - eye))
-    for _ in range(4):
-        T_inv = T_inv @ (2.0 * eye - T @ T_inv)
-        res = np.max(np.abs(T @ T_inv - eye))
-        if res < best_res:
-            best, best_res = T_inv, res
-        else:
-            break
-    return LegendreBasis(a=float(a), b=float(b), n=int(n), T=T, T_inv=best)
-
-
-def _invert_upper_triangular(T: np.ndarray) -> np.ndarray:
-    """Back-substitution inverse; exact zeros propagate exactly."""
-    n = T.shape[0]
-    inv = np.zeros_like(T)
-    for col in range(n):
-        z = np.zeros(n)
-        z[col] = 1.0 / T[col, col]
-        for i in range(col - 1, -1, -1):
-            acc = T[i, i + 1:col + 1] @ z[i + 1:col + 1]
-            z[i] = -acc / T[i, i]
-        inv[:, col] = z
-    return inv
+    if n < 0:
+        raise ValueError(f"degree {n} must be >= 0")
+    return LegendreBasis(a=float(a), b=float(b), n=int(n))
 
 
 def _read_only(mat: np.ndarray) -> np.ndarray:
@@ -173,50 +94,114 @@ def _read_only(mat: np.ndarray) -> np.ndarray:
 
 
 def _cached_per_basis(build):
-    """Cache ``build(basis)`` per ``(a, b, n)``; the arrays it returns are
-    shared by every caller and therefore read-only."""
+    """Cache ``build(basis, *args)`` per ``(a, b, n, *args)``; the arrays it
+    returns are shared by every caller and therefore read-only."""
     @lru_cache(maxsize=None)
-    def cached(a, b, n):
-        out = build(build_basis(a, b, n))
+    def cached(a, b, n, *args):
+        out = build(build_basis(a, b, n), *args)
         if isinstance(out, tuple):
             return tuple(_read_only(m) for m in out)
         return _read_only(out)
 
     @wraps(build)
-    def lookup(basis: LegendreBasis):
-        return cached(basis.a, basis.b, basis.n)
+    def lookup(basis: LegendreBasis, *args):
+        return cached(basis.a, basis.b, basis.n, *args)
 
     return lookup
 
 
-@_cached_per_basis
-def mapped_monomial_transform(basis: LegendreBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Transform pair between Legendre coefficients on ``[a, b]`` and
-    monomial coefficients in the *mapped* variable ``u = 2(x-a)/(b-a) - 1``.
+def _columns(op, n: int, rows: int) -> np.ndarray:
+    """Matrix whose column ``k`` is the coefficient vector ``op(e_k)`` for the
+    ``n + 1`` unit vectors ``e_k``, zero-padded or truncated to ``rows``."""
+    out = np.zeros((rows, n + 1))
+    for k, unit in enumerate(np.eye(n + 1)):
+        col = op(unit)[:rows]
+        out[:len(col), k] = col
+    return out
 
-    ``p_k`` on ``[a, b]`` is ``sqrt(2/(b-a))`` times the unit-interval basis
-    function of ``u``, so the pair is the unit-interval transform scaled by
-    one scalar; its conditioning does not depend on the interval.  Used for
-    pointwise products, where any polynomial basis with a convolution rule
-    works and the raw-coordinate monomials can be catastrophically
-    ill-conditioned on wide or offset intervals.  Cached and read-only.
+
+def _affine(basis: LegendreBasis) -> tuple[float, float]:
+    """``(s, t)`` of the map ``u = s x + t`` onto ``[-1, 1]``."""
+    return 2.0 / (basis.b - basis.a), -(basis.a + basis.b) / (basis.b - basis.a)
+
+
+@_cached_per_basis
+def product_tensor(basis: LegendreBasis) -> np.ndarray:
+    """``C[p, a, q]``: coefficient of ``p_p`` in ``p_a p_q``, for ``p <= 2n``
+    (cached, read-only).
+
+    The unit-interval linearization coefficient of ``P_a P_q`` (from
+    ``legmul``) times ``sigma_a sigma_q / sigma_p``.
     """
-    ref = build_basis(-1.0, 1.0, basis.n)
-    scale = np.sqrt(2.0 / (basis.b - basis.a))
-    return scale * ref.T, ref.T_inv / scale
-
-
-@_cached_per_basis
-def ou_generator_matrix(basis: LegendreBasis) -> np.ndarray:
-    """Legendre-coefficient action of ``v -> v'' + x v'`` (cached, read-only)."""
     n = basis.n
-    return basis.T_inv @ (monomial_second_derivative(n) + monomial_x_derivative(n)) @ basis.T
+    lin = np.zeros((2 * n + 1, n + 1, n + 1))
+    for a, unit in enumerate(np.eye(n + 1)):
+        lin[:, a, :] = _columns(lambda e: leg.legmul(unit, e), n, 2 * n + 1)
+    scales = basis._scales
+    out_scales = build_basis(basis.a, basis.b, 2 * n)._scales
+    return lin * np.outer(scales, scales) / out_scales[:, None, None]
 
 
 @_cached_per_basis
 def derivative_matrix(basis: LegendreBasis) -> np.ndarray:
     """Legendre-coefficient action of ``v -> v'`` (cached, read-only)."""
-    return basis.T_inv @ monomial_derivative(basis.n) @ basis.T
+    s, _ = _affine(basis)
+    scales = basis._scales
+    return s * _columns(leg.legder, basis.n, basis.n + 1) * scales / scales[:, None]
+
+
+@_cached_per_basis
+def ou_generator_matrix(basis: LegendreBasis) -> np.ndarray:
+    """Legendre-coefficient action of ``v -> v'' + x v'`` (cached, read-only).
+
+    In the mapped variable this is ``s^2 D^2 + (X_u - t) D`` with the
+    unit-interval derivative ``D`` and multiplication ``X_u`` by ``u``;
+    ``X_u`` is truncated to degree ``n``, which ``D``'s output never reaches.
+    """
+    n = basis.n
+    s, t = _affine(basis)
+    der = _columns(leg.legder, n, n + 1)
+    x_mul = _columns(leg.legmulx, n, n + 1)
+    scales = basis._scales
+    gen = s * s * (der @ der) + (x_mul - t * np.eye(n + 1)) @ der
+    return gen * scales / scales[:, None]
+
+
+@_cached_per_basis
+def power_coefficients(basis: LegendreBasis, e: int) -> np.ndarray:
+    """Coefficients of ``x^e`` (``0 <= e <= n``) in the basis (cached,
+    read-only), by ``e`` multiplications with ``x = (u - t) / s``."""
+    s, t = _affine(basis)
+    coef = np.ones(1)
+    for _ in range(e):
+        coef = (leg.legmulx(coef) - t * np.append(coef, 0.0)) / s
+    out = np.zeros(basis.n + 1)
+    out[:e + 1] = coef
+    return out / basis._scales
+
+
+@_cached_per_basis
+def taylor_rows(basis: LegendreBasis) -> np.ndarray:
+    """Rows ``evaluate(0) @ D^k / k!`` for ``k = 0, 1, 2`` (cached,
+    read-only): applied to coefficients they give the coefficients of
+    ``1, x, x^2`` in the Taylor expansion at 0.  Rows past ``n`` are zero."""
+    row, dx = basis.evaluate(0.0), derivative_matrix(basis)
+    return np.stack([row, row @ dx, row @ dx @ dx / 2.0])
+
+
+@_cached_per_basis
+def mapped_monomial_transform(basis: LegendreBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Transform pair between Legendre coefficients on ``[a, b]`` and
+    monomial coefficients in the mapped variable ``u``, from ``leg2poly``
+    and ``poly2leg`` (cached, read-only).
+
+    The dense reference product of :mod:`tthjb.oracles` convolves these
+    monomial coefficients; the solver multiplies with :func:`product_tensor`.
+    """
+    n = basis.n
+    scales = basis._scales
+    return (_columns(leg.leg2poly, n, n + 1) * scales,
+            _columns(leg.poly2leg, n, n + 1) / scales[:, None])
 
 
 class PolySpace:

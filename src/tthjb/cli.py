@@ -35,13 +35,13 @@ import sys
 import numpy as np
 
 from . import oracles
-from .basis import DEGREE_CAP, PolySpace
+from .basis import PolySpace
 from .integrate import SolverConfig, SolutionSnapshot, Trajectory, solve_hjb
 from .operators import PotentialSpec, apply_lin, apply_nonlin, build_potential_tt, \
     covariance_error, poly_multiply, project_degree
-from .sample import SamplerConfig, reverse_sample
-from .tt import TensorTrain, read_checkpoint, tt_from_dense, tt_norm, tt_to_dense, \
-    write_checkpoint
+from .sample import SamplerConfig, eval_v_batch, reverse_sample
+from .tt import TensorTrain, read_checkpoint, tt_from_dense, tt_norm, tt_random, \
+    tt_to_dense, write_checkpoint
 
 
 class ConfigError(Exception):
@@ -58,20 +58,31 @@ def _require(obj, key, path, typ=None):
     return val
 
 
+def _integer(value, path):
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, f"expected an integer, got {value!r}") from exc
+
+
 def parse_run_config(obj: dict):
     """Validate a run config and build the typed pieces."""
     spc = _require(obj, "space", "$", dict)
-    d = int(_require(spc, "dims", "space"))
+    d = _integer(_require(spc, "dims", "space"), "space.dims")
     intervals = _require(spc, "intervals", "space", list)
     degrees = _require(spc, "degrees", "space", list)
     if len(intervals) != d or len(degrees) != d:
         raise ConfigError("space", "intervals and degrees must list one entry per dim")
     for i, iv in enumerate(intervals):
-        if len(iv) != 2 or not iv[0] < iv[1]:
+        try:
+            a, b = (float(v) for v in iv)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"space.intervals[{i}]", "need [a, b] of numbers") from exc
+        if not a < b:
             raise ConfigError(f"space.intervals[{i}]", "need [a, b] with a < b")
     for i, n in enumerate(degrees):
-        if not 0 <= int(n) <= DEGREE_CAP:
-            raise ConfigError(f"space.degrees[{i}]", f"degree outside [0, {DEGREE_CAP}]")
+        if _integer(n, f"space.degrees[{i}]") < 0:
+            raise ConfigError(f"space.degrees[{i}]", "degree must be >= 0")
     space = PolySpace(intervals, degrees)
 
     try:
@@ -234,7 +245,11 @@ def cmd_sample(manifest_path: str, particles=None, lam=None, langevin_steps=None
                  "seed": seed}
     fields = {k: v for k, v in overrides.items() if v is not None}
     if fields:
-        sampler = SamplerConfig(**{**sampler.__dict__, **fields})
+        try:
+            sampler = SamplerConfig(**{**sampler.__dict__, **fields})
+        except ValueError as exc:
+            print(f"invalid sampler option: {exc}", file=sys.stderr)
+            return 1
 
     out_dir = os.path.dirname(os.path.abspath(manifest_path))
     try:
@@ -339,6 +354,16 @@ def _suite_operators() -> int:
         proj_ref = oracles.dense_project(nl_ref, space.degrees)
         err = np.linalg.norm(tt_to_dense(proj) - proj_ref) / np.linalg.norm(proj_ref)
         rows.append((f"projection trial {trial}", err, 1e-9, err <= 1e-9))
+    # degree 8 (products of degree 16), checked pointwise
+    space = PolySpace([(-2.0, 2.0), (-5.0, 5.0), (-1.0, 3.0)], [8] * d)
+    a, b = (tt_random(space.mode_sizes, (1, 2, 2, 1), rng) for _ in range(2))
+    prod, prod_space = poly_multiply(a, b, space)
+    pts = rng.uniform(*np.array(space.intervals).T, size=(50, d))
+    expect = (eval_v_batch(SolutionSnapshot(0.0, a), space, pts)
+              * eval_v_batch(SolutionSnapshot(0.0, b), space, pts))
+    got = eval_v_batch(SolutionSnapshot(0.0, prod), prod_space, pts)
+    err = float(np.max(np.abs(got - expect)) / np.max(np.abs(expect)))
+    rows.append(("pointwise product degree 8", err, 1e-12, err <= 1e-12))
     return _report(rows)
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import DEGREE_CAP, PolySpace, derivative_matrix, \
-    mapped_monomial_transform, ou_generator_matrix
+from .basis import PolySpace, derivative_matrix, ou_generator_matrix, \
+    power_coefficients, product_tensor, taylor_rows
 from .tt import TensorTrain, check_finite, laplace_like_sum, mode_apply, \
     right_orthogonalize, tt_add_scaled, tt_round, tt_scale
 
@@ -168,15 +168,15 @@ def build_potential_tt(spec: PotentialSpec, space: PolySpace,
                        delta: float = 1e-12) -> TensorTrain:
     """TT coefficients of the potential in the orthonormal Legendre basis.
 
-    Each monomial becomes a rank-1 TT (per-dimension monomial-to-Legendre
-    conversion through ``T_inv``); the sum is rounded once at relative
-    tolerance ``delta``.  Raises ``ValueError`` for non-finite coefficients.
+    Each monomial becomes a rank-1 TT whose core ``i`` holds the Legendre
+    coefficients of ``x_i^e`` (:func:`~tthjb.basis.power_coefficients`); the
+    sum is rounded once at relative tolerance ``delta``.  Raises
+    ``ValueError`` for non-finite coefficients.
     """
     monos = spec.monomials()
     if not monos:
         raise ValueError("potential has no terms")
     d = space.d
-    const_cols = [space.bases[i].T_inv[:, 0] for i in range(d)]
     total = None
     for mono, coef in monos:
         for dim, exp in mono.items():
@@ -186,11 +186,8 @@ def build_potential_tt(spec: PotentialSpec, space: PolySpace,
                 raise ValueError(
                     f"monomial degree {exp} in dimension {dim} exceeds the "
                     f"space degree {space.degrees[dim]}")
-        cores = []
-        for i in range(d):
-            exp = mono.get(i, 0)
-            col = space.bases[i].T_inv[:, exp] if exp else const_cols[i]
-            cores.append(col.reshape(1, -1, 1))
+        cores = [power_coefficients(space.bases[i], mono.get(i, 0)).reshape(1, -1, 1)
+                 for i in range(d)]
         term = tt_scale(TensorTrain._trusted(cores), coef)
         total = term if total is None else tt_add_scaled(total, term, 1.0)
     check_finite(total)
@@ -225,22 +222,18 @@ def apply_partial(a: TensorTrain, i: int, space: PolySpace) -> TensorTrain:
     return TensorTrain._trusted(cores)
 
 
-def _product_kernel(hb: np.ndarray, t: np.ndarray, t2_inv: np.ndarray) -> np.ndarray:
-    """Per-mode multiplication by the core ``hb`` as a linear map of the
-    other factor's Legendre core, shape ``(kb, 2n + 1, lb, n + 1)``::
+def _product_kernel(core: np.ndarray, prod: np.ndarray) -> np.ndarray:
+    """Per-mode multiplication by the Legendre core ``core`` as a linear map
+    of the other factor's core, shape ``(kb, 2n + 1, lb, n + 1)``::
 
-        K[k, p, l, q] = sum_{a + b = c} t2_inv[p, c] hb[k, a, l] t[b, q]
+        K[k, p, l, q] = sum_a core[k, a, l] prod[p, a, q]
 
-    ``hb`` is in mapped-monomial form (mode size ``n + 1``, see
-    :func:`~tthjb.basis.mapped_monomial_transform`), ``t`` takes the other
-    factor to mapped monomials (a derivative may be folded in) and
-    ``t2_inv`` takes the doubled-degree convolution back to Legendre
-    coefficients.  The product core with a core ``c`` is
-    ``sum_q K[k, p, l, q] c[m, q, o]`` at bonds ``(k, m)``, ``(l, o)``.
+    ``prod`` is the :func:`~tthjb.basis.product_tensor` of the mode, with a
+    derivative of the other factor possibly folded in (``prod @ D``).  The
+    product core with a core ``c`` is ``sum_q K[k, p, l, q] c[m, q, o]`` at
+    bonds ``(k, m)``, ``(l, o)``.
     """
-    deg = np.arange(hb.shape[1])
-    conv = np.matmul(t2_inv[:, deg[:, None] + deg[None, :]], t)  # [p, a, q]
-    return np.tensordot(hb, conv, axes=(1, 1)).transpose(0, 2, 1, 3)
+    return np.tensordot(core, prod, axes=(1, 1)).transpose(0, 2, 1, 3)
 
 
 def _mode_major(core: np.ndarray) -> np.ndarray:
@@ -259,14 +252,6 @@ def _pair_bonds(prod: np.ndarray, fixed_shape, rows: int, core_shape) -> np.ndar
             .reshape(-1, kb * r0, rows, lb * r1))
 
 
-def _doubled_space(a: TensorTrain, space: PolySpace) -> PolySpace:
-    degrees = [2 * (m - 1) for m in a.mode_sizes]
-    if any(n > DEGREE_CAP for n in degrees):
-        raise ValueError(
-            f"doubled degrees {degrees} exceed the basis degree cap {DEGREE_CAP}")
-    return space.with_degrees(degrees)
-
-
 def poly_multiply(a: TensorTrain, b: TensorTrain,
                   space: PolySpace) -> tuple[TensorTrain, PolySpace]:
     """Coefficients of the pointwise product ``v_a * v_b`` at doubled degrees.
@@ -277,13 +262,11 @@ def poly_multiply(a: TensorTrain, b: TensorTrain,
     """
     if a.mode_sizes != b.mode_sizes:
         raise ValueError("factors must share mode sizes")
-    out_space = _doubled_space(a, space)
+    out_space = space.with_degrees([2 * (m - 1) for m in a.mode_sizes])
     cores = []
     for i, (ca, cb) in enumerate(zip(a.cores, b.cores)):
         m = ca.shape[1]
-        t, _ = mapped_monomial_transform(space.basis(i, m))
-        _, t2_inv = mapped_monomial_transform(out_space.bases[i])
-        kernel = _product_kernel(mode_apply(t, cb), t, t2_inv).reshape(-1, m)
+        kernel = _product_kernel(cb, product_tensor(space.basis(i, m))).reshape(-1, m)
         cores.append(_pair_bonds(kernel @ _mode_major(ca), cb.shape, 2 * m - 1,
                                  ca.shape)[0])
     return TensorTrain._trusted(cores), out_space
@@ -294,14 +277,12 @@ def _stacked_kernels(y: TensorTrain, space: PolySpace) -> tuple[PolySpace, list]
     product kernels (see :func:`_product_kernel`) of ``Y_i`` and of
     ``D_i Y_i`` stacked to shape ``(2, r, 2n + 1, r', n + 1)``, the latter
     with the derivative ``D_i`` of the other factor folded in."""
-    doubled = _doubled_space(y, space)
+    doubled = space.with_degrees([2 * (m - 1) for m in y.mode_sizes])
     kernels = []
-    for core, bs, bs2 in zip(y.cores, _space_bases(y, space), doubled.bases):
-        t, _ = mapped_monomial_transform(bs)
-        _, t2_inv = mapped_monomial_transform(bs2)
-        td = t @ derivative_matrix(bs)
-        kernels.append(np.stack([_product_kernel(mode_apply(t, core), t, t2_inv),
-                                 _product_kernel(mode_apply(td, core), td, t2_inv)]))
+    for core, bs in zip(y.cores, _space_bases(y, space)):
+        prod, dx = product_tensor(bs), derivative_matrix(bs)
+        kernels.append(np.stack([_product_kernel(core, prod),
+                                 _product_kernel(mode_apply(dx, core), prod @ dx)]))
     return doubled, kernels
 
 
@@ -444,16 +425,15 @@ def extract_quadratic(a: TensorTrain, space: PolySpace):
 
     Returns ``(a0, b, Q)`` with ``v(x) = a0 + b^T x + x^T Q x + h.o.t.``;
     ``Q`` is symmetric (off-diagonal entries are half the mixed-monomial
-    coefficients).  Works by converting each core to monomial coefficients
-    and chaining selector contractions, so the cost is ``O(d^2)`` small
-    matrix products and no dense tensor is ever formed.
+    coefficients).  Works by contracting each core with the Taylor rows
+    ``evaluate(0) @ D^k / k!`` of :func:`~tthjb.basis.taylor_rows` and
+    chaining these contractions, so the cost is ``O(d^2)`` small matrix
+    products and no dense tensor is ever formed.
     """
     d = a.d
-    sel = []  # sel[i][k] = core i contracted with the monomial selector e_k
-    for i, core in enumerate(a.cores):
-        t = space.basis(i, core.shape[1]).T
-        mono = mode_apply(t, core)
-        sel.append([mono[:, k, :] if k < mono.shape[1] else None for k in range(3)])
+    # sel[i][k] = core i contracted with the Taylor row of x^k at 0
+    sel = [mode_apply(taylor_rows(space.basis(i, core.shape[1])), core).transpose(1, 0, 2)
+           for i, core in enumerate(a.cores)]
 
     suffix = [None] * (d + 1)
     suffix[d] = np.ones((1, 1))
@@ -465,17 +445,14 @@ def extract_quadratic(a: TensorTrain, space: PolySpace):
     q = np.zeros((d, d))
     prefix = np.ones((1, 1))
     for i in range(d):
-        if sel[i][1] is not None:
-            left1 = prefix @ sel[i][1]
-            b[i] = float((left1 @ suffix[i + 1])[0, 0])
-            run = left1
-            for j in range(i + 1, d):
-                if sel[j][1] is not None:
-                    q[i, j] = 0.5 * float((run @ sel[j][1] @ suffix[j + 1])[0, 0])
-                    q[j, i] = q[i, j]
-                run = run @ sel[j][0]
-        if sel[i][2] is not None:
-            q[i, i] = float((prefix @ sel[i][2] @ suffix[i + 1])[0, 0])
+        left1 = prefix @ sel[i][1]
+        b[i] = float((left1 @ suffix[i + 1])[0, 0])
+        run = left1
+        for j in range(i + 1, d):
+            q[i, j] = 0.5 * float((run @ sel[j][1] @ suffix[j + 1])[0, 0])
+            q[j, i] = q[i, j]
+            run = run @ sel[j][0]
+        q[i, i] = float((prefix @ sel[i][2] @ suffix[i + 1])[0, 0])
         prefix = prefix @ sel[i][0]
     return a0, b, q
 

@@ -10,6 +10,7 @@ coefficient tensors with plain numpy.
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial import legendre as npleg, polynomial as nppoly
 
 from .basis import PolySpace, derivative_matrix, mapped_monomial_transform, \
     ou_generator_matrix
@@ -89,6 +90,15 @@ def _quadratic_left_cores(m: np.ndarray, count: int) -> list[np.ndarray]:
     return cores
 
 
+def _legendre_from_monomials(a: float, b: float) -> np.ndarray:
+    """Columns ``1, x, x^2`` in the orthonormal Legendre basis on ``[a, b]``:
+    numpy's ``poly2leg`` of ``(c + h u)^j`` for ``x = c + h u``."""
+    x = [0.5 * (a + b), 0.5 * (b - a)]
+    cols = [npleg.poly2leg(nppoly.polypow(x, j)) for j in range(3)]
+    out = np.array([np.pad(col, (0, 3 - len(col))) for col in cols]).T
+    return out / np.sqrt((2 * np.arange(3) + 1) / (b - a))[:, None]
+
+
 def quadratic_tt_cores(m: np.ndarray, space: PolySpace | None = None) -> TensorTrain:
     """Direct TT construction of ``f(x) = x^T M x`` (degrees ``(2, ..., 2)``).
 
@@ -96,7 +106,7 @@ def quadratic_tt_cores(m: np.ndarray, space: PolySpace | None = None) -> TensorT
     partner; a junction matrix at the middle bond pays out the cross
     coefficients.  Interior ranks are exactly ``2 + min(i, d - i)`` before
     any rounding.  Cores are converted to the orthonormal Legendre basis of
-    ``space`` (default ``[-1, 1]^d``).
+    ``space`` (default ``[-1, 1]^d``) by :func:`_legendre_from_monomials`.
     """
     m = np.asarray(m, dtype=np.float64)
     d = m.shape[0]
@@ -122,7 +132,8 @@ def quadratic_tt_cores(m: np.ndarray, space: PolySpace | None = None) -> TensorT
     cores = left + right
     if space is None:
         space = PolySpace([(-1.0, 1.0)] * d, [2] * d)
-    legendre = [np.einsum("nm,amb->anb", space.basis(i, 3).T_inv, core, optimize=True)
+    legendre = [np.einsum("nm,amb->anb", _legendre_from_monomials(*space.intervals[i]),
+                          core, optimize=True)
                 for i, core in enumerate(cores)]
     return TensorTrain(legendre)
 

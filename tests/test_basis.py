@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from tthjb.basis import (DEGREE_CAP, PolySpace, build_basis, derivative_matrix,
-                         mapped_monomial_transform,
-                         monomial_derivative, monomial_second_derivative,
-                         monomial_x_derivative, ou_generator_matrix)
+from tthjb.basis import (PolySpace, build_basis, derivative_matrix,
+                         mapped_monomial_transform, ou_generator_matrix,
+                         power_coefficients, product_tensor)
 
 SQ2 = np.sqrt(2.0)
 
@@ -20,13 +19,14 @@ class TestBuildBasis:
     def test_constant_normalization(self):
         bs = build_basis(-1.0, 1.0, 0)
         assert bs.evaluate(0.3)[0] == pytest.approx(1 / SQ2, abs=1e-14)
-        np.testing.assert_allclose(bs.T, [[1 / SQ2]])
+        np.testing.assert_allclose(power_coefficients(bs, 0), [SQ2])
 
     def test_degree_two_column(self):
         # p_2(x) = sqrt(5/2) (3x^2 - 1)/2 on [-1, 1]
         bs = build_basis(-1.0, 1.0, 2)
         expected = np.array([-np.sqrt(2.5) / 2, 0.0, 3 * np.sqrt(2.5) / 2])
-        np.testing.assert_allclose(bs.T[:, 2], expected, atol=1e-14)
+        np.testing.assert_allclose(mapped_monomial_transform(bs)[0][:, 2], expected,
+                                   atol=1e-14)
 
     def test_dual_path_evaluation_offset_interval(self):
         bs = build_basis(0.0, 2.0, 3)
@@ -34,17 +34,13 @@ class TestBuildBasis:
         coef = rng.standard_normal(4)
         xs = rng.uniform(0.0, 2.0, 20)
         direct = bs.evaluate(xs) @ coef
-        mono = bs.T @ coef
-        via_monomials = sum(c * xs ** k for k, c in enumerate(mono))
+        mono = mapped_monomial_transform(bs)[0] @ coef
+        via_monomials = sum(c * (xs - 1.0) ** k for k, c in enumerate(mono))
         np.testing.assert_allclose(direct, via_monomials, atol=1e-10)
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             build_basis(1.0, 1.0, 3)
-
-    def test_degree_cap(self):
-        with pytest.raises(ValueError):
-            build_basis(-1.0, 1.0, DEGREE_CAP + 1)
 
     @pytest.mark.parametrize("a,b", [(-1, 1), (0, 2), (-2, 2), (-5, 5)])
     @pytest.mark.parametrize("n", [1, 4, 8, 12])
@@ -57,36 +53,36 @@ class TestBuildBasis:
 
     @pytest.mark.parametrize("a,b", [(-1, 1), (0, 2), (-2, 2)])
     def test_inverse_residual(self, a, b):
-        # Exponential ill-conditioning of the monomial transform limits this
-        # to ~1e-8 on wide intervals at the degree cap; narrow intervals meet
-        # the tight bound.
-        for n in range(DEGREE_CAP + 1):
-            bs = build_basis(float(a), float(b), n)
-            res = np.max(np.abs(bs.T @ bs.T_inv - np.eye(n + 1)))
+        # The dense oracle's mapped-monomial transform pair; its conditioning
+        # grows exponentially in the degree but not with the interval.
+        for n in range(13):
+            t, t_inv = mapped_monomial_transform(build_basis(float(a), float(b), n))
+            res = np.max(np.abs(t @ t_inv - np.eye(n + 1)))
             assert res <= 1e-10, (a, b, n, res)
 
-    def test_inverse_residual_wide_interval(self):
-        bs = build_basis(-5.0, 5.0, 12)
-        res = np.max(np.abs(bs.T @ bs.T_inv - np.eye(13)))
-        assert res <= 1e-8
-
     def test_parity_zero_pattern_bitwise(self):
-        # On symmetric intervals column k holds only degrees <= k of the same
-        # parity; the pattern must be exact zeros, not small floats.
+        # On symmetric intervals products, derivatives, the generator and
+        # powers of x keep the parity structure of the Legendre basis; the
+        # pattern must be exact zeros, not small floats.
+        row, col = np.indices((13, 13))
         for b in (1.0, 2.0, 5.0):
             bs = build_basis(-b, b, 12)
-            for col in range(13):
-                for row in range(13):
-                    if row > col or (row + col) % 2 == 1:
-                        assert bs.T[row, col] == 0.0
-                        assert bs.T_inv[row, col] == 0.0
+            prod = product_tensor(bs)
+            p, a, q = np.indices(prod.shape)
+            assert np.all(prod[((p + a + q) % 2 == 1) | (p > a + q)
+                               | (p < np.abs(a - q))] == 0.0)
+            assert np.all(derivative_matrix(bs)[(row >= col)
+                                                | ((row + col) % 2 == 0)] == 0.0)
+            assert np.all(ou_generator_matrix(bs)[(row > col)
+                                                  | ((row + col) % 2 == 1)] == 0.0)
+            for e in range(13):
+                assert np.all(power_coefficients(bs, e)[(row[:, 0] > e)
+                                                        | ((row[:, 0] + e) % 2 == 1)] == 0.0)
 
     def test_reproducible_bit_for_bit(self):
-        build_basis.cache_clear()
-        t1 = build_basis(-2.0, 2.0, 9).T.copy()
-        build_basis.cache_clear()
-        t2 = build_basis(-2.0, 2.0, 9).T.copy()
-        np.testing.assert_array_equal(t1, t2)
+        bs = build_basis(-2.0, 2.0, 9)
+        for build in (product_tensor, derivative_matrix, ou_generator_matrix):
+            np.testing.assert_array_equal(build(bs), build.__wrapped__(bs))
 
 
 class TestEvaluate:
@@ -102,9 +98,10 @@ class TestEvaluate:
     def test_matches_monomial_path(self):
         rng = np.random.default_rng(1)
         bs = build_basis(-2.0, 3.0, 6)
+        t, _ = mapped_monomial_transform(bs)
         for x in rng.uniform(-2, 3, 10):
             vals = bs.evaluate(x)
-            via = bs.T.T @ (x ** np.arange(7))
+            via = t.T @ ((2 * (x + 2) / 5 - 1) ** np.arange(7))
             np.testing.assert_allclose(vals, via, atol=1e-10)
 
 
@@ -136,10 +133,9 @@ class TestOperatorMatrices:
     def test_generator_on_x_squared(self):
         # (d^2/dx^2 + x d/dx) x^2 = 2 + 2x^2
         bs = build_basis(-1.0, 1.0, 5)
-        coef = bs.T_inv[:, 2]
-        mono = bs.T @ (ou_generator_matrix(bs) @ coef)
-        expected = np.array([2.0, 0.0, 2.0, 0.0, 0.0, 0.0])
-        np.testing.assert_allclose(mono, expected, atol=1e-11)
+        out = ou_generator_matrix(bs) @ power_coefficients(bs, 2)
+        expected = 2.0 * power_coefficients(bs, 0) + 2.0 * power_coefficients(bs, 2)
+        np.testing.assert_allclose(out, expected, atol=1e-11)
 
     def test_generator_pointwise_finite_difference(self):
         rng = np.random.default_rng(3)
@@ -157,9 +153,8 @@ class TestOperatorMatrices:
         bs = build_basis(-1.0, 1.0, 4)
         dx = derivative_matrix(bs)
         np.testing.assert_allclose(dx @ np.eye(5)[0], 0.0, atol=1e-13)
-        coef_x = bs.T_inv[:, 1]
-        mono = bs.T @ (dx @ coef_x)
-        np.testing.assert_allclose(mono, [1, 0, 0, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(dx @ power_coefficients(bs, 1),
+                                   power_coefficients(bs, 0), atol=1e-12)
 
     def test_derivative_matrix_finite_difference(self):
         rng = np.random.default_rng(4)
@@ -178,18 +173,32 @@ class TestOperatorMatrices:
         d = ou_generator_matrix(bs)
         dx = derivative_matrix(bs)
         shift = np.eye(9, k=-1)  # monomial x-multiplication truncated to degree 8
-        xm = bs.T_inv @ shift @ bs.T
+        t, t_inv = mapped_monomial_transform(bs)  # u = x on [-1, 1]
+        xm = t_inv @ shift @ t
         composed = dx @ dx + xm @ dx
         rng = np.random.default_rng(5)
         coef = np.zeros(9)
         coef[:7] = rng.standard_normal(7)  # degree <= n-2
         np.testing.assert_allclose(d @ coef, composed @ coef, atol=1e-9)
 
-    def test_monomial_matrices_shapes(self):
-        assert monomial_second_derivative(4)[0, 2] == 2.0
-        assert monomial_second_derivative(4)[2, 4] == 12.0
-        np.testing.assert_allclose(np.diag(monomial_x_derivative(3)), [0, 1, 2, 3])
-        assert monomial_derivative(3)[1, 2] == 2.0
+    @pytest.mark.parametrize("a,b", [(-1.0, 3.0), (-5.0, 5.0)])
+    def test_product_tensor_pointwise(self, a, b):
+        # degree 10 factors, degree 20 products
+        xs = np.linspace(a, b, 41)
+        vals = build_basis(a, b, 10).evaluate(xs)
+        got = np.einsum("xp,paq->xaq", build_basis(a, b, 20).evaluate(xs),
+                        product_tensor(build_basis(a, b, 10)))
+        expect = vals[:, :, None] * vals[:, None, :]
+        np.testing.assert_allclose(got, expect, atol=1e-13 * np.abs(expect).max())
+
+    @pytest.mark.parametrize("a,b", [(0.0, 2.0), (-5.0, 5.0), (1.0, 4.0)])
+    def test_power_coefficients_pointwise(self, a, b):
+        bs = build_basis(a, b, 12)
+        xs = np.linspace(a, b, 31)
+        for e in range(13):
+            got = bs.evaluate(xs) @ power_coefficients(bs, e)
+            np.testing.assert_allclose(got, xs ** e, rtol=1e-12,
+                                       atol=1e-12 * np.abs(xs ** e).max())
 
 
 class TestPolySpace:
@@ -216,8 +225,8 @@ class TestPolySpace:
 def test_operator_matrices_cached_and_read_only():
     bs = build_basis(-2.0, 3.0, 4)
     def matrices():
-        return [ou_generator_matrix(bs), derivative_matrix(bs),
-                *mapped_monomial_transform(bs)]
+        return [ou_generator_matrix(bs), derivative_matrix(bs), product_tensor(bs),
+                power_coefficients(bs, 3), *mapped_monomial_transform(bs)]
 
     for mat, mat2 in zip(matrices(), matrices()):
         assert mat is mat2

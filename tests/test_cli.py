@@ -1,6 +1,7 @@
 """Command-line front end: configs, outputs, determinism, verify suites."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -53,13 +54,27 @@ class TestConfigParsing:
                               "solver": {"T": 1, "tau_max": 0.1},
                               "output_dir": "x"})
 
-    def test_degree_cap_enforced(self):
+    def test_negative_degree_rejected(self):
         with pytest.raises(ConfigError, match="degrees"):
             parse_run_config({"space": {"dims": 1, "intervals": [[-1, 1]],
-                                        "degrees": [13]},
+                                        "degrees": [-1]},
                               "potential": {"terms": []},
                               "solver": {"T": 1, "tau_max": 0.1},
                               "output_dir": "x"})
+
+    @pytest.mark.parametrize("space,path", [
+        ({"dims": None}, "space.dims"),
+        ({"degrees": [None]}, r"space.degrees\[0\]"),
+        ({"intervals": [5]}, r"space.intervals\[0\]"),
+        ({"intervals": [[-5, "a"]]}, r"space.intervals\[0\]"),
+    ], ids=["dims-null", "degree-null", "interval-scalar", "interval-string"])
+    def test_malformed_space_exits_1(self, tmp_path, capsys, space, path):
+        cfg_path, cfg = gaussian_config(tmp_path, d=1)
+        cfg["space"].update(space)
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["solve", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert re.match(f"config error at {path}:", err) and err.count("\n") == 1
 
     def test_floor_check_rejects_constant(self):
         space = PolySpace([(-1, 1)] * 2, [2, 2])
@@ -224,6 +239,18 @@ class TestSampleCommand:
         meta = json.loads((solved.parent / "sample_metadata.json").read_text())
         assert meta["n_particles"] == 16
         assert meta["langevin_steps"] == 2
+
+    @pytest.mark.parametrize("args,message", [
+        (["--particles", "-1"], "n_particles"),
+        (["--langevin-steps", "2", "--langevin-tau", "0"], "langevin_tau"),
+        (["--lambda", "2"], "lambda"),
+    ], ids=["particles", "langevin-tau", "lambda"])
+    def test_invalid_override_exits_1(self, solved, capsys, args, message):
+        assert main(["sample", str(solved)] + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid sampler option:") and message in err
+        assert err.count("\n") == 1
+        assert not (solved.parent / "samples.csv").exists()
 
 
 class TestVerifyCommand:

@@ -199,12 +199,20 @@ class TestMultiply:
         prod, _ = poly_multiply(tt_from_dense(da, 0.0), tt_from_dense(db, 0.0), space3)
         assert rel_err(tt_to_dense(prod), dense_multiply(da, db, space3)) <= 1e-12
 
-    def test_degree_cap_enforced(self):
-        space = PolySpace([(-1, 1)], [8])
+    def test_degree_eight_pointwise(self):
+        # Doubled degree 16: products are exact in the Legendre basis at any
+        # degree, so the factors need no degree limit.
+        space = PolySpace([(-1, 1), (-5, 5), (0, 2)], [8] * 3)
         rng = np.random.default_rng(8)
-        a = tt_random(space.mode_sizes, (1, 1), rng)
-        with pytest.raises(ValueError):
-            poly_multiply(a, a, space)
+        a = tt_random(space.mode_sizes, (1, 2, 2, 1), rng)
+        b = tt_random(space.mode_sizes, (1, 2, 2, 1), rng)
+        prod, space2 = poly_multiply(a, b, space)
+        assert space2.degrees == (16, 16, 16)
+        lo, hi = np.array(space.intervals).T
+        pts = rng.uniform(lo, hi, (200, 3))
+        expect = eval_v_batch(snap(a), space, pts) * eval_v_batch(snap(b), space, pts)
+        got = eval_v_batch(snap(prod), space2, pts)
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
 class TestNonlinear:

@@ -7,10 +7,11 @@ import pytest
 from tthjb.basis import PolySpace
 from tthjb.integrate import SolutionSnapshot
 from tthjb.operators import PotentialSpec
-from tthjb.oracles import (dense_lin, dense_nonlin, dense_project,
-                           dense_rhs_reference, gaussian_eigen_bound,
-                           hopf_cole_check, quadratic_tt_cores,
-                           quadrature_score_2d, riccati_reference)
+from tthjb.oracles import (_legendre_from_monomials, dense_lin, dense_nonlin,
+                           dense_project, dense_rhs_reference,
+                           gaussian_eigen_bound, hopf_cole_check,
+                           quadratic_tt_cores, quadrature_score_2d,
+                           riccati_reference)
 from tthjb.sample import eval_v_batch
 from tthjb.tt import tt_round, tt_to_dense
 
@@ -174,10 +175,10 @@ class TestDenseReference:
     def test_1d_quadratic_analytic(self):
         # v = x^2: Lin = 2 + 2x^2, NonLin = -4x^2, rhs = 2 - 2x^2.
         space = PolySpace([(-1, 1)], [2])
-        bs = space.bases[0]
-        a = bs.T_inv[:, 2]
+        powers = _legendre_from_monomials(-1.0, 1.0)
+        a = powers[:, 2]
         rhs = dense_rhs_reference(a, space)
-        expected = bs.T_inv[:, 0] * 2.0 - 2.0 * bs.T_inv[:, 2]
+        expected = powers[:, 0] * 2.0 - 2.0 * powers[:, 2]
         np.testing.assert_allclose(rhs, expected, atol=1e-11)
 
     def test_projection_slices(self):
