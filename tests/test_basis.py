@@ -5,7 +5,7 @@ import pytest
 
 from tthjb.basis import (PolySpace, build_basis, derivative_matrix,
                          mapped_monomial_transform, ou_generator_matrix,
-                         power_coefficients, product_tensor)
+                         power_coefficients, product_tensor, taylor_rows)
 
 SQ2 = np.sqrt(2.0)
 
@@ -75,9 +75,10 @@ class TestBuildBasis:
                                                 | ((row + col) % 2 == 0)] == 0.0)
             assert np.all(ou_generator_matrix(bs)[(row > col)
                                                   | ((row + col) % 2 == 1)] == 0.0)
+            degree = np.arange(13)
             for e in range(13):
-                assert np.all(power_coefficients(bs, e)[(row[:, 0] > e)
-                                                        | ((row[:, 0] + e) % 2 == 1)] == 0.0)
+                assert np.all(power_coefficients(bs, e)[(degree > e)
+                                                        | ((degree + e) % 2 == 1)] == 0.0)
 
     def test_reproducible_bit_for_bit(self):
         bs = build_basis(-2.0, 2.0, 9)
@@ -226,7 +227,8 @@ def test_operator_matrices_cached_and_read_only():
     bs = build_basis(-2.0, 3.0, 4)
     def matrices():
         return [ou_generator_matrix(bs), derivative_matrix(bs), product_tensor(bs),
-                power_coefficients(bs, 3), *mapped_monomial_transform(bs)]
+                power_coefficients(bs, 3), taylor_rows(bs),
+                *mapped_monomial_transform(bs)]
 
     for mat, mat2 in zip(matrices(), matrices()):
         assert mat is mat2
