@@ -107,6 +107,7 @@ def _cached_per_basis(build):
     def lookup(basis: LegendreBasis, *args):
         return cached(basis.a, basis.b, basis.n, *args)
 
+    lookup.cache_clear = cached.cache_clear
     return lookup
 
 
@@ -154,17 +155,17 @@ def derivative_matrix(basis: LegendreBasis) -> np.ndarray:
 def ou_generator_matrix(basis: LegendreBasis) -> np.ndarray:
     """Legendre-coefficient action of ``v -> v'' + x v'`` (cached, read-only).
 
-    In the mapped variable this is ``s^2 D^2 + (X_u - t) D`` with the
-    unit-interval derivative ``D`` and multiplication ``X_u`` by ``u``;
-    ``X_u`` is truncated to degree ``n``, which ``D``'s output never reaches.
+    Composed as ``D D + X D`` from :func:`derivative_matrix` ``D`` and the
+    multiplication ``X`` by ``x = (u - t) / s``, which ``legmulx`` gives in
+    the mapped variable.  ``X`` is truncated to degree ``n``, which ``D``'s
+    output never reaches.
     """
     n = basis.n
     s, t = _affine(basis)
-    der = _columns(leg.legder, n, n + 1)
-    x_mul = _columns(leg.legmulx, n, n + 1)
     scales = basis._scales
-    gen = s * s * (der @ der) + (x_mul - t * np.eye(n + 1)) @ der
-    return gen * scales / scales[:, None]
+    x_mul = (_columns(leg.legmulx, n, n + 1) - t * np.eye(n + 1)) / s
+    dx = derivative_matrix(basis)
+    return dx @ dx + (x_mul * scales / scales[:, None]) @ dx
 
 
 @_cached_per_basis

@@ -217,9 +217,13 @@ def cmd_solve(config_path: str, stride: int = 1, timings: bool = False) -> int:
 
 
 def _load_trajectory(files, manifest_dir: str) -> Trajectory:
+    """Read the snapshots ``files`` maps to their times; ``ValueError`` when
+    a file's stored time is not the one the manifest lists for it."""
     snaps = []
-    for name in files:
+    for name, listed in files.items():
         tt, t = read_checkpoint(os.path.join(manifest_dir, name))
+        if t != listed:
+            raise ValueError(f"{name} holds t={t!r}, the manifest lists t={listed!r}")
         snaps.append(SolutionSnapshot(t=t, coeffs=tt))
     snaps.sort(key=lambda s: s.t)
     return Trajectory(snapshots=snaps)
@@ -232,7 +236,9 @@ def cmd_sample(manifest_path: str, particles=None, lam=None, langevin_steps=None
             manifest = json.load(fh)
         space, _, solver, sampler, _ = parse_run_config(manifest["config"])
         files = manifest["files"]
-    except (OSError, json.JSONDecodeError, KeyError, ConfigError) as exc:
+        if not isinstance(files, dict):
+            raise ValueError("files must map snapshot names to times")
+    except (OSError, ValueError, KeyError, ConfigError) as exc:
         print(f"cannot load manifest: {exc}", file=sys.stderr)
         return 1
     if manifest.get("error"):

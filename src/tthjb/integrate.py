@@ -2,10 +2,10 @@
 
 One step advances ``Y`` by ``tau * (L Y + P NL(Y))``, retracts the result
 back to the rank budget and re-compresses degrees and ranks.  The step size
-is the minimum of four bounds: a hard cap, a stiffness bound from a power
-iteration on the locally linearized operator, a bound keeping the relative
-degree-projection error below ``delta_proj``, and a bound keeping the
-relative rank-retraction error below ``delta_rank``.
+is the minimum of four bounds: a hard cap, a stiffness bound from a
+warm-started power iteration on the locally linearized operator, a bound
+keeping the relative degree-projection error below ``delta_proj``, and a
+bound keeping the relative rank-retraction error below ``delta_rank``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .basis import PolySpace
 from .operators import (apply_lin, apply_nonlin, apply_stiffness, covariance_error,
                         prepare_stiffness, project_degree, projection_norms)
 from .tt import (TensorTrain, check_finite, tt_add_scaled, tt_inner, tt_norm,
-                 tt_random, tt_round, tt_scale)
+                 tt_random, tt_round, tt_round_sketched, tt_scale)
 
 # Below this magnitude the power-iteration estimate is treated as an exactly
 # stationary sector (the stiffness bound then does not constrain the step).
@@ -30,6 +30,10 @@ STATIONARY_EPS = 1e-14
 # the doubled-degree product (a quadratic state, whose projection is exact,
 # gives about 1e-16) and counts as an exact projection.
 PROJECTION_EPS = 1e-14
+
+# Sketch columns per bond beyond the rank cap in the power iteration's
+# randomized rounding (Al Daas et al. use a small constant oversampling).
+SKETCH_OVERSAMPLING = 6
 
 
 class RankBudgetError(RuntimeError):
@@ -52,7 +56,10 @@ class SolverConfig:
     can be exactly orthogonal to the dominant one).
     ``power_stability_window`` is the number of consecutive agreeing
     significant-digit comparisons required before the eigenvalue estimate is
-    accepted (1 = two consecutive iterations agree).
+    accepted (1 = two consecutive iterations agree).  Each step's power
+    iteration starts from the previous step's last iterate, rounds with a
+    sketch keyed by ``seed`` and the step index, and at ``power_max_iters``
+    returns its mean over the second half (see :func:`power_iteration_bound`).
     """
 
     T: float
@@ -74,6 +81,8 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if self.p_digits < 1:
             raise ValueError("p_digits must be >= 1")
+        if self.power_max_iters < 1:
+            raise ValueError("power_max_iters must be >= 1")
         if self.power_stability_window < 1:
             raise ValueError("power_stability_window must be >= 1")
         sched = self.rho
@@ -159,65 +168,115 @@ def _aitken(hist) -> float:
     return l2 + correction
 
 
-def power_iteration_bound(y: SolutionSnapshot, space: PolySpace,
-                          cfg: SolverConfig) -> tuple[float, int]:
-    """Upper bound on the dominant absolute real eigenvalue of the locally
-    linearized right-hand side at ``y``.
+@dataclass
+class PowerState:
+    """Power-iteration state carried from one Euler step to the next.
 
-    Iterates ``X <- retract(H_Y X / |X|)`` with the retraction capped at the
-    ranks of ``y`` and stops once the (tail-extrapolated) estimate is stable
-    to ``p_digits`` significant digits over ``power_stability_window``
-    consecutive comparisons.  The returned bound is ``|lambda| + 10^-(P + p)``
-    with ``P = ceil(-log10 |lambda|)``.  Returns 0.0 (flagged stationary)
-    when the estimate vanishes, and raises ``ValueError`` when it is not
-    finite.  ``Y``'s side of ``H_Y`` is prepared once for all iterations.
+    ``step`` keys the rounding sketch; ``vector`` is the last iterate of the
+    previous step (``None`` for a cold start) and ``converged`` whether that
+    step's stop rule fired before ``power_max_iters``.  Both are written by
+    :func:`power_iteration_bound`.
+    """
+
+    step: int = 0
+    vector: TensorTrain | None = None
+    converged: bool = True
+
+
+def _philox(seed: int, word: int, counter: int = 0) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(
+        key=np.array([seed & 0xFFFFFFFFFFFFFFFF, word], dtype=np.uint64),
+        counter=np.array([0, 0, 0, counter], dtype=np.uint64)))
+
+
+def _power_start(Y: TensorTrain, state: PowerState | None) -> TensorTrain:
+    """The previous step's iterate projected onto ``Y``'s degrees, or ``Y``
+    itself on the first step and after a mode size grew."""
+    prev = state.vector if state is not None else None
+    if prev is None or any(p < m for p, m in zip(prev.mode_sizes, Y.mode_sizes)):
+        return Y
+    return project_degree(prev, [m - 1 for m in Y.mode_sizes])
+
+
+def power_iteration_bound(y: SolutionSnapshot, space: PolySpace,
+                          cfg: SolverConfig,
+                          state: PowerState | None = None) -> tuple[float, int]:
+    """Estimate ``|lambda| + 10^-(P + p)``, ``P = ceil(-log10 |lambda|)``, of
+    the dominant absolute real eigenvalue of the locally linearized
+    right-hand side ``H_Y`` at ``y``; returns ``(estimate, iterations)``.
+
+    Iterates ``X <- R(H_Y X / |X|)`` with ``R`` the randomized rounding
+    :func:`~tthjb.tt.tt_round_sketched` to ``y``'s ranks, through one
+    Gaussian sketch per step (``SKETCH_OVERSAMPLING`` columns beyond each
+    rank, Philox keyed by ``cfg.seed`` and the step index), so the map is
+    deterministic and reruns are byte-identical.  The start is ``y``, or with
+    ``state`` the previous step's last iterate projected onto ``y``'s
+    degrees, blended with a seeded direction of relative size
+    ``power_perturb`` and rounded exactly to ``y``'s ranks.
+
+    The iteration stops once the tail-extrapolated estimate is stable to
+    ``p_digits`` significant digits over ``power_stability_window``
+    comparisons.  This is not an upper bound: the rank-capped iteration
+    need not reach the dominant eigenvector, and converged estimates can
+    fall a few percent short of the spectral radius.  At ``power_max_iters``
+    ``|lambda|`` is the mean over the second half of the iterates, which
+    stays put where the rank-capped sequence wanders.  ``state`` supplies
+    the warm start and step index and receives the last iterate and whether
+    the stop rule fired.  Returns 0.0 (flagged stationary) when the
+    estimate vanishes; raises ``ValueError`` when it is not finite.
     """
     Y = y.coeffs
-    norm_y = tt_norm(Y)
-    if norm_y == 0.0:
+    start = _power_start(Y, state)
+    if state is not None:
+        state.vector, state.converged = None, True
+    if tt_norm(Y) == 0.0:
         return 0.0, 0
     side = prepare_stiffness(Y, space)
     caps = list(Y.interior_ranks) if Y.d > 1 else None
-    x = tt_scale(Y, 1.0 / norm_y)
+    x = tt_scale(start, 1.0 / tt_norm(start))
     if cfg.power_perturb > 0.0:
-        rng = np.random.Generator(np.random.Philox(
-            key=np.array([cfg.seed & 0xFFFFFFFFFFFFFFFF, 0x706F776572], dtype=np.uint64)))
-        g = tt_random(Y.mode_sizes, Y.ranks, rng)
+        g = tt_random(Y.mode_sizes, Y.ranks, _philox(cfg.seed, 0x706F776572))
         g = tt_scale(g, cfg.power_perturb / tt_norm(g))
         x = tt_round(tt_add_scaled(x, g, 1.0), max_ranks=caps)
+    step = state.step if state is not None else 0
+    sketch_ranks = [1] + [r + SKETCH_OVERSAMPLING for r in Y.interior_ranks] + [1]
+    sketch = tt_random(Y.mode_sizes, sketch_ranks, _philox(cfg.seed, 0x736B65746368, step))
     hist: list[float] = []
     est = 0.0
     prev_key = None
     stable = 0
-    iters = 0
+    converged = False
     for _ in range(cfg.power_max_iters):
         nx = tt_norm(x)
         if nx == 0.0:
-            return 0.0, iters
+            return 0.0, len(hist)
         xhat = tt_scale(x, 1.0 / nx)
-        xnext = tt_round(apply_stiffness(side, xhat, space), max_ranks=caps)
-        lam = tt_inner(xhat, xnext)
-        iters += 1
+        x = tt_round_sketched(apply_stiffness(side, xhat, space), sketch, caps)
+        lam = tt_inner(xhat, x)
         if not math.isfinite(lam):
             raise ValueError(f"non-finite eigenvalue estimate {lam} "
                              "in the power iteration")
         if abs(lam) < STATIONARY_EPS:
-            return 0.0, iters
+            return 0.0, len(hist) + 1
         hist.append(abs(lam))
         est = _aitken(hist)
         key = _significant_key(abs(est), cfg.p_digits)
         if key == prev_key:
             stable += 1
             if stable >= cfg.power_stability_window:
+                converged = True
                 break
         else:
             stable = 0
         prev_key = key
-        x = xnext
+    if not converged:
+        est = float(np.mean(hist[len(hist) // 2:]))
+    if state is not None:
+        state.vector, state.converged = x, converged
     mag = abs(est)
     first_digit_pos = math.ceil(-math.log10(mag))
     eps_p = 10.0 ** (-(first_digit_pos + cfg.p_digits))
-    return mag + eps_p, iters
+    return mag + eps_p, len(hist)
 
 
 def stepsize_stiffness(lambda_bar: float, rho: float) -> float:
@@ -401,7 +460,7 @@ def rank_adapt(y: SolutionSnapshot, r0, delta_contr: float) -> SolutionSnapshot:
 # ----------------------------------------------------------------------
 
 def _diag_record(step, snap, tau, tau_lambda, tau_proj, tau_rank, lambda_bar,
-                 space, wall_ms):
+                 power_iters, power_converged, binding, space, wall_ms):
     return {
         "step": step,
         "t": snap.t,
@@ -410,6 +469,9 @@ def _diag_record(step, snap, tau, tau_lambda, tau_proj, tau_rank, lambda_bar,
         "tau_proj": tau_proj,
         "tau_rank": tau_rank,
         "lambda_bar": lambda_bar,
+        "power_iters": power_iters,
+        "power_converged": power_converged,
+        "binding": binding,
         "ranks": list(snap.ranks),
         "degrees": list(snap.degrees),
         "cov_err": covariance_error(snap, space),
@@ -430,12 +492,14 @@ def solve_hjb(phi: TensorTrain, space: PolySpace, cfg: SolverConfig) -> Trajecto
     r0 = phi.interior_ranks
     traj = Trajectory(snapshots=[snap])
     tau_prev = None
+    power = PowerState()
     step = 0
     t = 0.0
     while t < cfg.T:
         started = time.perf_counter()
         try:
-            lambda_bar, _ = power_iteration_bound(snap, space, cfg)
+            power.step = step
+            lambda_bar, power_iters = power_iteration_bound(snap, space, cfg, power)
             tau_lambda = stepsize_stiffness(lambda_bar, cfg.rho_at(t))
             q = _step_quantities(snap, space)
             tau_proj = _projection_bound(q.rel_proj, cfg)
@@ -450,7 +514,10 @@ def solve_hjb(phi: TensorTrain, space: PolySpace, cfg: SolverConfig) -> Trajecto
                            tau_cap)
             tau_rank = stepsize_retraction(snap, q.rhs, target, tau_init, cfg,
                                            tau_cap=tau_cap)
-            tau = min(cfg.tau_max, tau_lambda, tau_proj, tau_rank, remaining)
+            bounds = {"tau_max": cfg.tau_max, "stiffness": tau_lambda,
+                      "projection": tau_proj, "horizon": remaining}
+            binding = "rank" if tau_rank < tau_cap else min(bounds, key=bounds.get)
+            tau = min(tau_cap, tau_rank)
             # a criterion-forced collapse aborts; a float-dust sliver left
             # over from reaching the horizon does not
             if tau < 1e-12 * cfg.T and tau < remaining:
@@ -471,7 +538,7 @@ def solve_hjb(phi: TensorTrain, space: PolySpace, cfg: SolverConfig) -> Trajecto
         traj.snapshots.append(snap)
         traj.diagnostics.append(_diag_record(
             step, snap, tau, tau_lambda, tau_proj, tau_rank, lambda_bar,
-            space, wall_ms))
+            power_iters, power.converged, binding, space, wall_ms))
         tau_prev = tau
     return traj
 

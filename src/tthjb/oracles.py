@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import legendre as npleg, polynomial as nppoly
 
-from .basis import PolySpace, derivative_matrix, mapped_monomial_transform, \
-    ou_generator_matrix
+from .basis import PolySpace, mapped_monomial_transform
 from .operators import PotentialSpec
 from .tt import TensorTrain, _guard_dense
 
@@ -146,20 +145,36 @@ def _apply_mode(a: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(mat, a, axes=(1, axis)), 0, axis)
 
 
+def _series_matrix(space: PolySpace, i: int, size: int, op) -> np.ndarray:
+    """Matrix of ``op`` on the orthonormal Legendre basis of dimension ``i``
+    with ``size`` functions, built from numpy's ``Legendre`` series on that
+    dimension's interval (numpy maps the domain and scales ``deriv`` itself)
+    rather than from the solver's operator matrices.  ``op`` takes a series
+    and the series of ``x``; its result is truncated to ``size`` terms."""
+    a, b = space.intervals[i]
+    x = npleg.Legendre.identity(domain=[a, b])
+    out = np.zeros((size, size))
+    for k in range(size):
+        col = op(npleg.Legendre.basis(k, domain=[a, b]), x).coef[:size]
+        out[:len(col), k] = col
+    scales = np.sqrt((2 * np.arange(size) + 1) / (b - a))
+    return out * scales / scales[:, None]
+
+
 def dense_lin(a: np.ndarray, space: PolySpace) -> np.ndarray:
-    """Dense action of the drift-diffusion generator."""
+    """Dense action of the drift-diffusion generator ``v'' + x v'``."""
     _guard_dense(a.shape)
     out = np.zeros_like(a)
     for i in range(a.ndim):
-        di = ou_generator_matrix(space.basis(i, a.shape[i]))
-        out += _apply_mode(a, di, i)
+        gen = _series_matrix(space, i, a.shape[i], lambda f, x: f.deriv(2) + x * f.deriv())
+        out += _apply_mode(a, gen, i)
     return out
 
 
 def dense_partial(a: np.ndarray, i: int, space: PolySpace) -> np.ndarray:
     """Dense partial derivative along dimension ``i``."""
     _guard_dense(a.shape)
-    dx = derivative_matrix(space.basis(i, a.shape[i]))
+    dx = _series_matrix(space, i, a.shape[i], lambda f, x: f.deriv())
     return _apply_mode(a, dx, i)
 
 

@@ -331,6 +331,40 @@ def tt_round(a: TensorTrain, tol: float = 0.0, max_ranks=None) -> TensorTrain:
     return TensorTrain._trusted(cores, ortho=("left", d - 1))
 
 
+def tt_round_sketched(a: TensorTrain, sketch: TensorTrain, max_ranks=None) -> TensorTrain:
+    """Randomize-then-orthogonalize rounding (Al Daas, Ballard, Cazeaux et
+    al., SIAM J. Sci. Comput. 45(1), 2023).
+
+    ``sketch`` is a random (Gaussian) TT with ``a``'s mode sizes whose
+    interior ranks ``l_k`` exceed the target ranks by a small oversampling.
+    Right-to-left contractions with ``sketch`` compress each bond of ``a`` to
+    ``l_k`` columns; one left-to-right QR sweep over these sketched unfoldings
+    projects ``a`` onto a TT of ranks at most ``l_k``, which an exact
+    :func:`tt_round` then truncates to ``max_ranks``.  No QR or SVD ever
+    sees ``a``'s own ranks.  Where every rank of ``a`` is at most ``l_k`` the
+    projection is exact and the result is ``tt_round(a, max_ranks=...)`` up
+    to round-off.  Deterministic for a given ``sketch``.
+    """
+    _check_same_shape(a, sketch)
+    d = a.d
+    if d == 1:
+        return a.copy()
+    envs = [np.ones((1, 1))]  # envs[j]: a's cores d-j.. against sketch's
+    for ca, cs in zip(a.cores[:0:-1], sketch.cores[:0:-1]):
+        t = (ca @ envs[-1]).reshape(ca.shape[0], -1)
+        envs.append(t @ cs.reshape(cs.shape[0], -1).T)
+    cores = list(a.cores)
+    for i in range(d - 1):
+        r0, m, r1 = cores[i].shape
+        mat = cores[i].reshape(r0 * m, r1)
+        q, _ = np.linalg.qr(mat @ envs[d - 1 - i])
+        cores[i] = q.reshape(r0, m, q.shape[1])
+        nxt = cores[i + 1]
+        cores[i + 1] = ((q.T @ mat) @ nxt.reshape(r1, -1)).reshape(
+            q.shape[1], nxt.shape[1], nxt.shape[2])
+    return tt_round(TensorTrain._trusted(cores), max_ranks=max_ranks)
+
+
 def tt_contract_mode_vectors(a: TensorTrain, vs) -> float:
     """Full contraction ``sum_alpha A[alpha] * prod_i vs[i][alpha_i]``.
 

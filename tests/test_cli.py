@@ -112,7 +112,8 @@ class TestSolveCommand:
         assert len(manifest["files"]) == len(manifest["times"])
         rec = json.loads((out / "diagnostics.jsonl").read_text().splitlines()[0])
         assert set(rec) == {"step", "t", "tau", "tau_lambda", "tau_proj",
-                            "tau_rank", "lambda_bar", "ranks", "degrees",
+                            "tau_rank", "lambda_bar", "power_iters",
+                            "power_converged", "binding", "ranks", "degrees",
                             "cov_err", "wall_ms"}
         assert rec["wall_ms"] is None  # determinism default
 
@@ -214,6 +215,17 @@ class TestSampleCommand:
         assert err.startswith("cannot load snapshot:") and err.count("\n") == 1
         assert not (solved.parent / "samples.csv").exists()
 
+    def test_swapped_snapshots_exit_1(self, solved, capsys):
+        first, second = solved.parent / "snapshot_2.ttck", solved.parent / "snapshot_5.ttck"
+        raw = first.read_bytes()
+        first.write_bytes(second.read_bytes())
+        second.write_bytes(raw)
+        assert main(["sample", str(solved)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot load snapshot: snapshot_2.ttck holds t=")
+        assert err.count("\n") == 1
+        assert not (solved.parent / "samples.csv").exists()
+
     def test_manifest_without_files_exits_1(self, solved, capsys):
         manifest = json.loads(solved.read_text())
         del manifest["files"]
@@ -263,6 +275,27 @@ class TestVerifyCommand:
         assert main(["verify", suite]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_perturbed_derivative_matrix_fails_linear_rows(self, monkeypatch, capsys):
+        import tthjb.basis
+        import tthjb.operators
+
+        real = tthjb.basis.derivative_matrix
+
+        def perturbed(basis):
+            return real(basis) * (1.0 + 1e-6)
+
+        for module in (tthjb.basis, tthjb.operators):
+            monkeypatch.setattr(module, "derivative_matrix", perturbed)
+        tthjb.basis.ou_generator_matrix.cache_clear()  # rebuild from the perturbed D
+        try:
+            assert main(["verify", "operators"]) == 1
+        finally:
+            tthjb.basis.ou_generator_matrix.cache_clear()
+        rows = capsys.readouterr().out.splitlines()
+        for kind in ("linear operator", "nonlinear operator"):
+            hits = [r for r in rows if r.startswith(kind)]
+            assert len(hits) == 3 and all(r.endswith("FAIL") for r in hits)
 
     @pytest.mark.slow
     def test_gaussian_suite_passes(self, capsys):

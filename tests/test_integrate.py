@@ -5,17 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from tthjb import integrate
 from tthjb.basis import PolySpace
-from tthjb.integrate import (RankBudgetError, SolutionSnapshot, SolverConfig,
+from tthjb.integrate import (PowerState, RankBudgetError, SolutionSnapshot, SolverConfig,
                              Trajectory, degree_truncate, euler_step,
                              evaluate_at_time, power_iteration_bound,
                              rank_adapt, solve_hjb, stepsize_projection,
                              stepsize_retraction, stepsize_stiffness,
                              _step_quantities)
-from tthjb.operators import (PotentialSpec, PotentialTerm, build_potential_tt,
-                             covariance_error, extract_quadratic)
+from tthjb.operators import (PotentialSpec, PotentialTerm, apply_stiffness,
+                             build_potential_tt, covariance_error, extract_quadratic,
+                             prepare_stiffness)
 from tthjb.oracles import dense_nonlin, gaussian_eigen_bound, riccati_reference
-from tthjb.tt import tt_norm, tt_random, tt_to_dense
+from tthjb.tt import tt_from_dense, tt_norm, tt_random, tt_to_dense
 
 
 def gaussian_setup(d, seed, intervals=(-5.0, 5.0)):
@@ -97,6 +99,60 @@ class TestPowerIteration:
             lam, _ = power_iteration_bound(SolutionSnapshot(0.0, phi), space, cfg)
             bound = gaussian_eigen_bound(diag)
             assert abs(lam) <= bound * (1 + 1e-6) + 1e-2
+
+    @pytest.mark.parametrize("d", [4, 5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_default_estimate_within_10_percent_of_dense_radius(self, d, seed):
+        rng = np.random.default_rng(500 + 10 * d + seed)
+        a = rng.uniform(0.0, 1.0, (d, d))
+        q = a.T @ a + 0.1 * np.eye(d)
+        space = PolySpace([(-5.0, 5.0)] * d, [2] * d)
+        phi = build_potential_tt(PotentialSpec(builtins=[
+            {"name": "gaussian", "coords": tuple(range(d)),
+             "params": {"Q": q.tolist()}}]), space)
+        side = prepare_stiffness(phi, space)
+        n = 3 ** d
+        h = np.zeros((n, n))
+        for j in range(n):
+            col = tt_from_dense(np.eye(n)[j].reshape(space.mode_sizes), 0.0)
+            h[:, j] = tt_to_dense(apply_stiffness(side, col, space)).ravel()
+        rho = float(np.max(np.abs(np.linalg.eigvals(h))))
+        est, _ = power_iteration_bound(SolutionSnapshot(0.0, phi), space,
+                                       SolverConfig(T=1.0, tau_max=0.1, seed=seed))
+        assert abs(est / rho - 1.0) <= 0.10
+
+    def test_capped_estimate_is_second_half_mean(self, monkeypatch):
+        _, space, phi = gaussian_setup(5, seed=3)
+        cfg = SolverConfig(**CFG, p_digits=12, power_max_iters=40, seed=1)
+        est, iters = power_iteration_bound(SolutionSnapshot(0.0, phi), space, cfg)
+        assert iters == 40
+        seen = []
+        real_inner = integrate.tt_inner
+
+        def recording(x, y):
+            seen.append(abs(real_inner(x, y)))
+            return seen[-1]
+
+        monkeypatch.setattr(integrate, "tt_inner", recording)
+        assert power_iteration_bound(SolutionSnapshot(0.0, phi), space, cfg)[0] == est
+        mean = float(np.mean(seen[20:]))
+        assert est == mean + 10.0 ** (-(math.ceil(-math.log10(mean)) + cfg.p_digits))
+
+    def test_warm_start_state(self):
+        _, space, phi = gaussian_setup(3, seed=4)
+        cfg = SolverConfig(**CFG, seed=2)
+        state = PowerState()
+        cold = power_iteration_bound(SolutionSnapshot(0.0, phi), space, cfg, state)
+        assert state.converged and state.vector.mode_sizes == phi.mode_sizes
+        warm = power_iteration_bound(SolutionSnapshot(0.0, phi), space, cfg, state)
+        assert warm[1] < cold[1]
+        assert abs(warm[0] / cold[0] - 1.0) <= 1e-2
+        # after the mode sizes grow, the stored iterate is ignored: a cold start
+        wide = PolySpace([(-5.0, 5.0)] * 3, [3] * 3)
+        grown = tt_random(wide.mode_sizes, (1, 2, 2, 1), np.random.default_rng(0))
+        fresh = PowerState()
+        assert (power_iteration_bound(SolutionSnapshot(0.0, grown), wide, cfg, state)
+                == power_iteration_bound(SolutionSnapshot(0.0, grown), wide, cfg, fresh))
 
     def test_zero_state_flagged(self):
         from tthjb.tt import tt_zero
@@ -343,6 +399,24 @@ class TestSolve:
         assert traj.error is None
         _, _, q = extract_quadratic(traj.snapshots[-1].coeffs, space)
         assert abs(q[0, 0] - 0.5) <= 1e-7
+
+    def test_capped_steps_flagged_and_binding_named(self):
+        _, space, phi = gaussian_setup(3, seed=13)
+        cfg = SolverConfig(T=0.5, tau_max=0.1, rho=0.2, power_max_iters=3, seed=5)
+        traj = solve_hjb(phi, space, cfg)
+        assert traj.error is None
+        recs = traj.diagnostics
+        assert all(r["power_iters"] <= 3 for r in recs)
+        assert all(r["power_converged"] or r["power_iters"] == 3 for r in recs)
+        assert any(not r["power_converged"] for r in recs)
+        names = {"tau_max", "stiffness", "projection", "rank", "horizon"}
+        assert {r["binding"] for r in recs} <= names
+        assert recs[-1]["binding"] == "horizon"
+        for r in recs:
+            bound = {"tau_max": cfg.tau_max, "stiffness": r["tau_lambda"],
+                     "projection": r["tau_proj"], "rank": r["tau_rank"]}
+            if r["binding"] in bound:
+                assert r["tau"] == bound[r["binding"]]
 
     def test_determinism_identical_diagnostics(self):
         _, space, phi = gaussian_setup(2, seed=15)

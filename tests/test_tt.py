@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from tthjb.tt import (TensorTrain, _fix_svd_signs, laplace_like_sum, mode_apply,
                       read_checkpoint, right_orthogonalize, tt_add_scaled,
                       tt_contract_mode_vectors, tt_from_dense, tt_inner,
-                      tt_norm, tt_random, tt_round, tt_scale, tt_to_dense,
-                      tt_zero, write_checkpoint)
+                      tt_norm, tt_random, tt_round, tt_round_sketched, tt_scale,
+                      tt_to_dense, tt_zero, write_checkpoint)
 
 
 def random_tt(rng, mode_sizes, ranks):
@@ -200,6 +200,52 @@ class TestRound:
         rng = np.random.default_rng(14)
         a = TensorTrain([rng.standard_normal((1, 5, 1))])
         np.testing.assert_array_equal(tt_to_dense(tt_round(a, tol=0.1)), tt_to_dense(a))
+
+
+def philox_sketch(mode_sizes, caps, key, oversample=6):
+    rng = np.random.Generator(np.random.Philox(key=key))
+    return tt_random(mode_sizes, [1] + [c + oversample for c in caps] + [1], rng)
+
+
+class TestRoundSketched:
+    def test_matches_exact_round_when_sketch_covers_every_rank(self):
+        rng = np.random.default_rng(15)
+        a = random_tt(rng, (3, 4, 5, 4, 3), (3, 6, 6, 3))
+        caps = [2, 4, 4, 2]  # every rank of a is <= cap + 6
+        exact = tt_round(a, max_ranks=caps)
+        sketched = tt_round_sketched(a, philox_sketch(a.mode_sizes, caps, 1), caps)
+        assert sketched.ranks == exact.ranks
+        diff = tt_norm(tt_add_scaled(sketched, exact, -1.0))
+        assert diff <= 1e-12 * tt_norm(exact)
+
+    def test_bitwise_repeatable_under_one_key(self):
+        rng = np.random.default_rng(16)
+        a = random_tt(rng, (3, 3, 3, 3), (3, 9, 3))
+        caps = [2, 2, 2]
+        outs = [tt_round_sketched(a, philox_sketch(a.mode_sizes, caps, 77, 4), caps)
+                for _ in range(2)]
+        for c1, c2 in zip(outs[0].cores, outs[1].cores):
+            assert np.array_equal(c1, c2)
+
+    def test_error_within_twice_exact_on_decaying_spectrum(self):
+        rng = np.random.default_rng(17)
+        modes = (6, 6, 6, 6)
+        a = tt_zero(modes)
+        for k in range(12):  # terms weighted 2^-k: decaying singular values
+            term = random_tt(rng, modes, (1, 1, 1))
+            a = tt_add_scaled(a, term, 2.0 ** -k / tt_norm(term))
+        caps = [3, 3, 3]
+        dense = tt_to_dense(a)
+        exact = np.linalg.norm(tt_to_dense(tt_round(a, max_ranks=caps)) - dense)
+        for key in range(5):
+            sketched = tt_round_sketched(a, philox_sketch(modes, caps, key), caps)
+            assert sketched.interior_ranks == (3, 3, 3)
+            assert np.linalg.norm(tt_to_dense(sketched) - dense) <= 2.0 * exact
+
+    def test_d1_passthrough(self):
+        a = TensorTrain([np.arange(5.0).reshape(1, 5, 1)])
+        out = tt_round_sketched(a, philox_sketch((5,), [], 0), None)
+        np.testing.assert_array_equal(out.cores[0], a.cores[0])
 
 
 class TestContractions:
