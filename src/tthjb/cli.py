@@ -287,6 +287,9 @@ def cmd_sample(manifest_path: str, particles=None, lam=None, langevin_steps=None
         "grid": batch.metadata.get("times"),
         "aborted": int(batch.aborted.sum()),
         "out_of_domain_total": int(batch.oob_counts.sum()),
+        "frozen_per_step": batch.metadata.get("frozen_per_step"),
+        "out_of_domain_per_step": batch.metadata.get("out_of_domain_per_step"),
+        "max_score_norm_per_step": batch.metadata.get("max_score_norm_per_step"),
     }
     with open(os.path.join(out_dir, "sample_metadata.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

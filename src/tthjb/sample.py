@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .basis import PolySpace
+from .basis import PolySpace, derivative_matrix
 from .integrate import SolverConfig, SolutionSnapshot, Trajectory, evaluate_at_time
 
 NORMAL_TRANSFORM = "inverse_cdf"  # recorded in run metadata
@@ -82,21 +82,56 @@ def _normals(seed: int, stream: int, shape) -> np.ndarray:
 # Evaluation of the low-rank model
 # ----------------------------------------------------------------------
 
+def _contracted_cores(snap: SolutionSnapshot, space: PolySpace, xs: np.ndarray,
+                      derivative: bool):
+    """Every core contracted with its mode's basis at the points, as
+    ``(r0, r1, m)`` arrays with the particles on the last axis.
+
+    One three-term recurrence runs over the ``(d, m)`` mapped coordinates up
+    to the largest mode degree.  Each core, laid out as ``(r0 r1, n + 1)``
+    with the orthonormal scales folded in, is then one product with its
+    mode's ``(n + 1, m)`` block of that table.  With ``derivative`` the
+    same product also contracts the core's derivative, taken on the
+    coefficients by :func:`derivative_matrix`.  Returns the list of value
+    contractions and the list of derivative contractions (empty without
+    ``derivative``).
+    """
+    cores = snap.coeffs.cores
+    lo, hi = np.array(space.intervals).T
+    u = 2.0 * (np.ascontiguousarray(xs.T) - lo[:, None]) / (hi - lo)[:, None] - 1.0
+    top = max(core.shape[1] for core in cores)
+    p = np.empty((top,) + u.shape)
+    p[0], p[1:2] = 1.0, u           # p[1:2] is empty when every degree is 0
+    for k in range(1, top - 1):     # (k + 1) P_{k+1} = (2k + 1) u P_k - k P_{k-1}
+        np.multiply(u, p[k], out=p[k + 1])
+        p[k + 1] *= (2 * k + 1) / (k + 1)
+        p[k + 1] -= k / (k + 1) * p[k - 1]
+    vals, dvals = [], []
+    for i, core in enumerate(cores):
+        r0, size, r1 = core.shape
+        basis = space.basis(i, size)
+        flat = core.transpose(0, 2, 1).reshape(r0 * r1, size)
+        if derivative:
+            flat = np.concatenate([flat, flat @ derivative_matrix(basis).T])
+        both = ((flat * basis._scales) @ p[:size, i]).reshape(1 + derivative, r0, r1, len(xs))
+        vals.append(both[0])
+        dvals.extend(both[1:])
+    return vals, dvals
+
+
 def eval_v(snap: SolutionSnapshot, space: PolySpace, x) -> float:
     """Value of the represented polynomial at one point."""
     return float(eval_v_batch(snap, space, np.atleast_2d(np.asarray(x, float)))[0])
 
 
 def eval_v_batch(snap: SolutionSnapshot, space: PolySpace, xs: np.ndarray) -> np.ndarray:
-    """Values at an ``(m, d)`` batch: per-mode basis contraction followed by
-    a left-to-right chain of small matrix products."""
-    tt = snap.coeffs
-    env = np.ones((xs.shape[0], 1))
-    for i, core in enumerate(tt.cores):
-        vals = space.basis(i, core.shape[1]).evaluate(xs[:, i])   # (m, n+1)
-        mat = np.tensordot(vals, core, axes=(1, 1))               # (m, r0, r1)
-        env = np.matmul(env[:, None, :], mat)[:, 0, :]
-    return env[:, 0]
+    """Values at an ``(m, d)`` batch: the contracted cores chained left to
+    right, particles last."""
+    vals, _ = _contracted_cores(snap, space, xs, derivative=False)
+    env = np.ones((1, xs.shape[0]))
+    for mat in vals:
+        env = np.einsum("am,abm->bm", env, mat)
+    return env[0]
 
 
 def grad_v(snap: SolutionSnapshot, space: PolySpace, x) -> np.ndarray:
@@ -108,35 +143,31 @@ def grad_v_batch(snap: SolutionSnapshot, space: PolySpace,
                  xs: np.ndarray) -> np.ndarray:
     """Gradients at an ``(m, d)`` batch.
 
-    Two sweeps of cached partial contractions make the total cost
+    A right-to-left sweep caches the partial contractions right of each
+    mode; a left-to-right sweep then contracts the left environment, the
+    derivative core and the right environment, so the cost is
     ``O(m d n r^2)`` instead of d independent full contractions.
     """
-    tt = snap.coeffs
+    vals, dvals = _contracted_cores(snap, space, xs, derivative=True)
     m, d = xs.shape
-    contracted = []       # core contracted with basis values, (m, r0, r1)
-    dcontracted = []      # core contracted with basis derivatives
-    for i, core in enumerate(tt.cores):
-        basis = space.basis(i, core.shape[1])
-        vals, dvals = basis.evaluate_with_derivative(xs[:, i])
-        contracted.append(np.tensordot(vals, core, axes=(1, 1)))
-        dcontracted.append(np.tensordot(dvals, core, axes=(1, 1)))
-    right = [None] * (d + 1)
-    right[d] = np.ones((m, 1))
-    for i in range(d - 1, -1, -1):
-        right[i] = np.matmul(contracted[i], right[i + 1][:, :, None])[:, :, 0]
-    out = np.empty((m, d))
-    left = np.ones((m, 1))
+    right = [np.ones((1, m))]
+    for mat in vals[:0:-1]:
+        right.append(np.einsum("abm,bm->am", mat, right[-1]))
+    right.reverse()       # right[i]: contraction of the modes after i
+    out = np.empty((d, m))
+    left = np.ones((1, m))
     for i in range(d):
-        mid = np.matmul(left[:, None, :], dcontracted[i])[:, 0, :]
-        out[:, i] = np.sum(mid * right[i + 1], axis=1)
-        left = np.matmul(left[:, None, :], contracted[i])[:, 0, :]
-    return out
+        out[i] = np.einsum("am,abm,bm->m", left, dvals[i], right[i])
+        left = np.einsum("am,abm->bm", left, vals[i])
+    return out.T
 
 
 def count_out_of_domain(space: PolySpace, xs: np.ndarray) -> np.ndarray:
     """Number of coordinates of each row lying outside the hypercube."""
-    lo = np.array([a for a, _ in space.intervals])
-    hi = np.array([b for _, b in space.intervals])
+    return _count_outside(xs, *np.array(space.intervals).T)
+
+
+def _count_outside(xs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.sum((xs < lo) | (xs > hi), axis=1).astype(np.int64)
 
 
@@ -151,6 +182,14 @@ def _sampling_grid(times) -> np.ndarray:
     return times
 
 
+def _largest_norm(g: np.ndarray) -> float:
+    sq = np.einsum("ij,ij->i", g, g)
+    peak = sq.max(initial=0.0)
+    if not np.isfinite(peak):       # ignore the non-finite rows
+        peak = sq.max(where=np.isfinite(sq), initial=0.0)
+    return float(np.sqrt(peak))
+
+
 def reverse_sample_scored(grad_fn, times, d: int, scfg: SamplerConfig) -> SampleBatch:
     """Run the reverse process against an arbitrary score surrogate.
 
@@ -160,6 +199,12 @@ def reverse_sample_scored(grad_fn, times, d: int, scfg: SamplerConfig) -> Sample
     ``times`` is the increasing sampling grid from 0 to the horizon.  ``z``
     is always finite: a particle whose update has a non-finite entry keeps
     its last state and is flagged in ``aborted``.
+
+    The metadata holds one entry per reverse step (Langevin steps
+    included) in ``frozen_per_step``, the number of frozen particles after
+    the step, and ``max_score_norm_per_step``, the largest finite Euclidean
+    norm of a row of the step's ``grad_fn`` results (0.0 when none is
+    finite).
     """
     times = _sampling_grid(times)
     horizon = times[-1]
@@ -182,10 +227,12 @@ def reverse_sample_scored(grad_fn, times, d: int, scfg: SamplerConfig) -> Sample
         z = nxt
 
     stream = 1
+    frozen, peaks = [], []
     for n in range(times.size - 1):
         tau = times[n + 1] - times[n]
         s = horizon - times[n]
         g = grad_fn(s, z)
+        peak = _largest_norm(g)
         drift = z + (z - (2.0 - lam) * g) * tau
         if lam != 1.0:
             xi = _normals(scfg.seed, stream, (total, d))
@@ -194,10 +241,13 @@ def reverse_sample_scored(grad_fn, times, d: int, scfg: SamplerConfig) -> Sample
         apply(drift)
         for _ in range(L):
             g = grad_fn(s, z)
+            peak = max(peak, _largest_norm(g))
             xi = _normals(scfg.seed, stream, (total, d))
             stream += 1
             apply(z - scfg.langevin_tau * g
                   + np.sqrt(2.0 * scfg.langevin_tau) * xi)
+        frozen.append(int(aborted.sum()))
+        peaks.append(peak)
     if np.mean(aborted) > 0.10:
         raise RuntimeError(
             f"{int(aborted.sum())} of {total} particles diverged (> 10%)")
@@ -208,7 +258,9 @@ def reverse_sample_scored(grad_fn, times, d: int, scfg: SamplerConfig) -> Sample
                                  "lambda": lam, "langevin_steps": L,
                                  "langevin_tau": scfg.langevin_tau,
                                  "seed": scfg.seed,
-                                 "times": times.tolist()})
+                                 "times": times.tolist(),
+                                 "frozen_per_step": frozen,
+                                 "max_score_norm_per_step": peaks})
 
 
 def reverse_sample(traj: Trajectory, space: PolySpace, scfg: SamplerConfig,
@@ -221,7 +273,8 @@ def reverse_sample(traj: Trajectory, space: PolySpace, scfg: SamplerConfig,
     reverse step.  Out-of-domain basis evaluations are counted per
     particle; when ``clamp_to_domain`` is set, score evaluations use the
     coordinates projected onto the hypercube instead (the particle state is
-    untouched) and the counts stay 0.
+    untouched) and the counts stay 0.  ``out_of_domain_per_step`` in the
+    metadata sums the counts over each reverse step's evaluations.
     """
     if not traj.is_complete(cfg.T):
         raise ValueError(f"trajectory did not reach the horizon T={cfg.T}")
@@ -239,18 +292,21 @@ def reverse_sample(traj: Trajectory, space: PolySpace, scfg: SamplerConfig,
         if s not in snaps:
             snaps[s] = evaluate_at_time(traj, s, space, cfg)
     d = traj.snapshots[0].coeffs.d
-    lo = np.array([a for a, _ in space.intervals])
-    hi = np.array([b for _, b in space.intervals])
+    lo, hi = np.array(space.intervals).T
     oob_counts = np.zeros(scfg.n_particles, dtype=np.int64)
+    oob_per_step = dict.fromkeys(times[-1] - times[:-1], 0)   # keyed by s
 
     def grad_fn(s, z):
         if scfg.clamp_to_domain:
             z = np.clip(z, lo, hi)
         else:
-            oob_counts[:] += count_out_of_domain(space, z)
+            counts = _count_outside(z, lo, hi)
+            oob_counts[:] += counts
+            oob_per_step[s] += int(counts.sum())
         return grad_v_batch(snaps[s], space, z)
 
     batch = reverse_sample_scored(grad_fn, times, d, scfg)
     batch.oob_counts = oob_counts
     batch.metadata["clamp_to_domain"] = scfg.clamp_to_domain
+    batch.metadata["out_of_domain_per_step"] = list(oob_per_step.values())
     return batch

@@ -252,6 +252,32 @@ class TestSampleCommand:
         assert meta["n_particles"] == 16
         assert meta["langevin_steps"] == 2
 
+    def test_per_step_diagnostics(self, tmp_path):
+        """On a box narrow enough for particles to leave it, the per-step
+        lists cover every reverse step, the out-of-domain counts sum to the
+        total, the frozen count never decreases, and reruns are
+        byte-identical."""
+        path, cfg = gaussian_config(tmp_path, T=1.0)
+        cfg["space"]["intervals"] = [[-1.5, 1.5]] * 2
+        path.write_text(json.dumps(cfg))
+        assert main(["solve", str(path)]) == 0
+        manifest = tmp_path / "run" / "manifest.json"
+        args = ["sample", str(manifest), "--langevin-steps", "1"]
+        assert main(args) == 0
+        raw = (manifest.parent / "sample_metadata.json").read_bytes()
+        meta = json.loads(raw)
+        steps = len(meta["grid"]) - 1
+        frozen = meta["frozen_per_step"]
+        oob = meta["out_of_domain_per_step"]
+        norms = meta["max_score_norm_per_step"]
+        assert len(frozen) == len(oob) == len(norms) == steps
+        assert sum(oob) == meta["out_of_domain_total"] > 0
+        assert all(a <= b for a, b in zip(frozen, frozen[1:]))
+        assert frozen[-1] == meta["aborted"]
+        assert all(np.isfinite(norms)) and min(norms) > 0
+        assert main(args) == 0
+        assert (manifest.parent / "sample_metadata.json").read_bytes() == raw
+
     @pytest.mark.parametrize("args,message", [
         (["--particles", "-1"], "n_particles"),
         (["--langevin-steps", "2", "--langevin-tau", "0"], "langevin_tau"),

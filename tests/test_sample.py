@@ -80,6 +80,95 @@ class TestGradient:
             assert np.max(rel) <= 1e-5
 
 
+def loop_eval(snap, space, xs, f=lambda a: a):
+    """The per-mode ``tensordot`` and per-particle ``matmul`` chain that
+    ``eval_v_batch`` ran before the particle-last kernel.  With ``f=np.abs``
+    it sums the magnitudes of all terms instead."""
+    env = np.ones((xs.shape[0], 1))
+    for i, core in enumerate(snap.coeffs.cores):
+        vals = space.basis(i, core.shape[1]).evaluate(xs[:, i])
+        mat = np.tensordot(f(vals), f(core), axes=(1, 1))
+        env = np.matmul(env[:, None, :], mat)[:, 0, :]
+    return env[:, 0]
+
+
+def loop_grad(snap, space, xs, f=lambda a: a):
+    """The two sweeps of per-particle ``matmul`` that ``grad_v_batch`` ran
+    before the particle-last kernel; ``f`` as in :func:`loop_eval`."""
+    m, d = xs.shape
+    contracted, dcontracted = [], []
+    for i, core in enumerate(snap.coeffs.cores):
+        basis = space.basis(i, core.shape[1])
+        vals, dvals = basis.evaluate_with_derivative(xs[:, i])
+        contracted.append(np.tensordot(f(vals), f(core), axes=(1, 1)))
+        dcontracted.append(np.tensordot(f(dvals), f(core), axes=(1, 1)))
+    right = [None] * (d + 1)
+    right[d] = np.ones((m, 1))
+    for i in range(d - 1, -1, -1):
+        right[i] = np.matmul(contracted[i], right[i + 1][:, :, None])[:, :, 0]
+    out = np.empty((m, d))
+    left = np.ones((m, 1))
+    for i in range(d):
+        mid = np.matmul(left[:, None, :], dcontracted[i])[:, 0, :]
+        out[:, i] = np.sum(mid * right[i + 1], axis=1)
+        left = np.matmul(left[:, None, :], contracted[i])[:, 0, :]
+    return out
+
+
+# (intervals, space degrees, core mode sizes, TT ranks): degrees 0-6 with
+# degree-0 modes, ranks 1-4, and cores below the space degree as after
+# adaptive degree truncation
+KERNEL_CASES = {
+    "d1": ([(-2.0, 3.0)], [4], [5], (1, 1)),
+    "d2": ([(-5.0, 5.0), (0.0, 1.0)], [0, 6], [1, 7], (1, 3, 1)),
+    "d6": ([(-5.0, 5.0), (-1.0, 2.0), (-3.0, 3.0), (0.5, 1.5), (-4.0, 1.0), (-2.0, 2.0)],
+           [6] * 6, [4, 1, 7, 2, 6, 3], (1, 2, 4, 3, 4, 1, 1)),
+}
+KERNEL_RTOL = 1e-13     # of the summed magnitudes of the terms, fixed beforehand
+
+
+class TestParticleLastKernel:
+    """``eval_v_batch`` and ``grad_v_batch`` against the loops they replaced."""
+
+    @staticmethod
+    def case(name, m):
+        intervals, degrees, sizes, ranks = KERNEL_CASES[name]
+        rng = np.random.default_rng(len(name) + m)
+        space = PolySpace(intervals, degrees)
+        snap = SolutionSnapshot(0.0, tt_random(sizes, ranks, rng))
+        lo, hi = np.array(intervals).T
+        xs = lo + (hi - lo) * rng.uniform(-0.3, 1.3, (m, len(intervals)))
+        return space, snap, xs
+
+    @pytest.mark.parametrize("m", [0, 1, 257])
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_matches_loop_reference(self, name, m):
+        space, snap, xs = self.case(name, m)
+        if m == 257:
+            outside = count_out_of_domain(space, xs)
+            assert 0 < np.count_nonzero(outside) < m
+        got, ref = eval_v_batch(snap, space, xs), loop_eval(snap, space, xs)
+        assert got.shape == (m,)
+        assert np.all(np.abs(got - ref) <= KERNEL_RTOL * loop_eval(snap, space, xs, np.abs))
+        got, ref = grad_v_batch(snap, space, xs), loop_grad(snap, space, xs)
+        assert got.shape == (m, len(KERNEL_CASES[name][0]))
+        assert np.all(np.abs(got - ref) <= KERNEL_RTOL * loop_grad(snap, space, xs, np.abs))
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_single_point_wrappers(self, name):
+        space, snap, xs = self.case(name, 5)
+        for x in xs:
+            value, grad = eval_v(snap, space, x), grad_v(snap, space, x)
+            assert isinstance(value, float) and grad.shape == (len(x),)
+            assert value == eval_v_batch(snap, space, x[None])[0]
+            np.testing.assert_array_equal(grad, grad_v_batch(snap, space, x[None])[0])
+            point = x[None]
+            assert (abs(value - loop_eval(snap, space, point)[0])
+                    <= KERNEL_RTOL * loop_eval(snap, space, point, np.abs)[0])
+            assert np.all(np.abs(grad - loop_grad(snap, space, point)[0])
+                          <= KERNEL_RTOL * loop_grad(snap, space, point, np.abs)[0])
+
+
 class TestCovarianceError:
     def test_zero_at_standard_normal(self):
         space, snap = standard_half_norm(4)
@@ -141,6 +230,24 @@ class TestScoredSampler:
         batch = reverse_sample_scored(poisoned, times, 2, scfg)
         assert batch.aborted.sum() == 3
         assert np.all(np.isfinite(batch.samples))  # frozen at last finite state
+
+    def test_per_step_frozen_counts_and_score_norms(self):
+        times = np.linspace(0.0, 1.0, 11)
+        peaks = {}
+
+        def poisoned(s, z):
+            g = z.copy()
+            if s < 0.45:
+                g[:3] = np.inf  # 3 of 50 particles freeze in step 6
+            norms = np.linalg.norm(g, axis=1)
+            peaks[s] = max(peaks.get(s, 0.0), norms[np.isfinite(norms)].max())
+            return g
+
+        scfg = SamplerConfig(lam=0.0, n_particles=50, langevin_steps=1, seed=5)
+        batch = reverse_sample_scored(poisoned, times, 2, scfg)
+        assert batch.metadata["frozen_per_step"] == [0] * 6 + [3] * 4
+        assert batch.metadata["max_score_norm_per_step"] == [
+            peaks[times[-1] - tn] for tn in times[:-1]]
 
     def test_majority_divergence_aborts_the_run(self):
         times = np.linspace(0.0, 1.0, 11)
