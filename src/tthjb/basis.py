@@ -66,10 +66,6 @@ class LegendreBasis:
         scales = self._scales
         return p * scales, dp * scales * (2.0 / (self.b - self.a))
 
-    def evaluate_derivative(self, x) -> np.ndarray:
-        """Values ``(p_0'(x), ..., p_n'(x))`` w.r.t. the raw variable."""
-        return self.evaluate_with_derivative(x)[1]
-
     @property
     def _scales(self) -> np.ndarray:
         return np.sqrt((2 * np.arange(self.n + 1) + 1) / (self.b - self.a))

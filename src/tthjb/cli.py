@@ -40,7 +40,7 @@ from .integrate import SolverConfig, SolutionSnapshot, Trajectory, solve_hjb
 from .operators import PotentialSpec, apply_lin, apply_nonlin, build_potential_tt, \
     covariance_error, poly_multiply, project_degree
 from .sample import SamplerConfig, eval_v_batch, reverse_sample
-from .tt import TensorTrain, read_checkpoint, tt_from_dense, tt_norm, tt_random, \
+from .tt import TensorTrain, read_checkpoint, tt_centres, tt_from_dense, tt_random, \
     tt_to_dense, write_checkpoint
 
 
@@ -129,15 +129,14 @@ def parse_run_config(obj: dict):
 def _potential_floor_check(phi: TensorTrain):
     """Reject potentials that cannot define a normalizable density: every
     dimension must carry coefficient mass at degree >= 2."""
-    total = tt_norm(phi)
+    centres = list(tt_centres(phi))
+    total = np.linalg.norm(centres[0])
     if total == 0.0:
         raise ConfigError("potential", "potential is identically zero")
-    for k in range(phi.d):
+    for k, centre in enumerate(centres):
         if phi.mode_sizes[k] < 3:
             raise ConfigError("potential", f"dimension {k} has no quadratic part")
-        cores = list(phi.cores)
-        cores[k] = cores[k][:, 2:, :]
-        if tt_norm(TensorTrain._trusted(cores)) <= 1e-12 * total:
+        if np.linalg.norm(centre[:, 2:]) <= 1e-12 * total:
             raise ConfigError(
                 "potential", f"dimension {k} has no quadratic part "
                 "(density potential floor check)")
@@ -409,16 +408,16 @@ def _suite_quadrature() -> int:
     rng = np.random.default_rng(3)
     pts = rng.uniform(-2.0, 2.0, size=(20, 2))
     rows = []
-    _, g80 = oracles.quadrature_score_2d(spec, 80, (-5.0, 5.0), 0.5, pts)
-    _, g200 = oracles.quadrature_score_2d(spec, 200, (-5.0, 5.0), 0.5, pts)
+    _, g80 = oracles.quadrature_scorer_2d(spec, 80, (-5.0, 5.0))(0.5, pts)
+    _, g200 = oracles.quadrature_scorer_2d(spec, 200, (-5.0, 5.0))(0.5, pts)
     err = float(np.max(np.abs(g80 - g200) / (1.0 + np.abs(g200))))
     rows.append(("self-convergence Q=80 vs Q=200", err, 1e-6, err <= 1e-6))
-    _, g100 = oracles.quadrature_score_2d(spec, 100, (-5.0, 5.0), 0.5, pts)
-    _, g100b = oracles.quadrature_score_2d(spec, 100, (-6.0, 6.0), 0.5, pts)
+    _, g100 = oracles.quadrature_scorer_2d(spec, 100, (-5.0, 5.0))(0.5, pts)
+    _, g100b = oracles.quadrature_scorer_2d(spec, 100, (-6.0, 6.0))(0.5, pts)
     err = float(np.max(np.abs(g100 - g100b)))
     rows.append(("domain enlargement invariance", err, 1e-6, err <= 1e-6))
-    _, g50 = oracles.quadrature_score_2d(spec, 50, (-5.0, 5.0), 0.5, pts)
-    _, g3 = oracles.quadrature_score_2d(spec, 3, (-5.0, 5.0), 0.5, pts)
+    _, g50 = oracles.quadrature_scorer_2d(spec, 50, (-5.0, 5.0))(0.5, pts)
+    _, g3 = oracles.quadrature_scorer_2d(spec, 3, (-5.0, 5.0))(0.5, pts)
     dev = float(np.max(np.abs(g3 - g50) / (1.0 + np.abs(g50))))
     rows.append(("Q=3 materially deviates", dev, 0.1, dev > 0.1))
     return _report(rows)

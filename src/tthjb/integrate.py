@@ -19,8 +19,8 @@ import numpy as np
 from .basis import PolySpace
 from .operators import (apply_lin, apply_nonlin, apply_stiffness, covariance_error,
                         prepare_stiffness, project_degree, projection_norms)
-from .tt import (TensorTrain, check_finite, tt_add_scaled, tt_inner, tt_norm,
-                 tt_random, tt_round, tt_round_sketched, tt_scale)
+from .tt import (TensorTrain, check_finite, tt_add_scaled, tt_centres, tt_inner, tt_norm,
+                 tt_random, tt_round, tt_round_sketched, tt_round_with_error, tt_scale)
 
 # Below this magnitude the power-iteration estimate is treated as an exactly
 # stationary sector (the stiffness bound then does not constrain the step).
@@ -324,12 +324,7 @@ def stepsize_projection(y: SolutionSnapshot, space: PolySpace,
 
 def _retraction_rel_err(y: TensorTrain, rhs: TensorTrain, tau: float,
                         target_ranks) -> float:
-    ybar = tt_add_scaled(y, rhs, tau)
-    nb = tt_norm(ybar)
-    if nb == 0.0:
-        return 0.0
-    retracted = tt_round(ybar, max_ranks=target_ranks)
-    return tt_norm(tt_add_scaled(ybar, retracted, -1.0)) / nb
+    return tt_round_with_error(tt_add_scaled(y, rhs, tau), max_ranks=target_ranks)[1]
 
 
 def stepsize_retraction(y: SolutionSnapshot, rhs: TensorTrain, target_ranks,
@@ -356,15 +351,12 @@ def stepsize_retraction(y: SolutionSnapshot, rhs: TensorTrain, target_ranks,
 
     if ok(tau_cap):
         return tau_cap
-    if ok(tau_init):
-        lo = tau_init
+    lo = tau_init
+    if lo < tau_cap and ok(lo):
         hi = min(2.0 * lo, tau_cap)
         while hi < tau_cap and ok(hi):
             lo, hi = hi, min(2.0 * hi, tau_cap)
-        if ok(hi):
-            lo = hi  # hi == tau_cap failing is impossible here, but be safe
     else:
-        lo = tau_init
         for _ in range(40):
             lo *= 0.5
             if ok(lo):
@@ -374,17 +366,15 @@ def stepsize_retraction(y: SolutionSnapshot, rhs: TensorTrain, target_ranks,
                 "retraction error exceeds delta_rank even at tau_init * 2^-40; "
                 "the rank budget is too small for this state")
         hi = 2.0 * lo
-    best = lo
     for _ in range(20):
         if (hi - lo) / lo <= 1e-2:
             break
         mid = 0.5 * (lo + hi)
         if ok(mid):
             lo = mid
-            best = mid
         else:
             hi = mid
-    return best
+    return lo
 
 
 # ----------------------------------------------------------------------
@@ -412,14 +402,6 @@ def euler_step(y: SolutionSnapshot, tau: float, target_ranks,
     return _euler_from_rhs(y, q.rhs, tau, target_ranks, delta_contr)
 
 
-def _slice_norm(a: TensorTrain, dim: int, index: int) -> float:
-    """Frobenius norm of the coefficient slice fixing mode ``dim`` at
-    ``index`` (computed in TT form, no dense tensor)."""
-    cores = list(a.cores)
-    cores[dim] = cores[dim][:, index:index + 1, :]
-    return tt_norm(TensorTrain._trusted(cores))
-
-
 def degree_truncate(y: SolutionSnapshot, delta_contr: float,
                     space: PolySpace) -> SolutionSnapshot:
     """Drop top polynomial degrees whose coefficient slices carry at most
@@ -432,13 +414,9 @@ def degree_truncate(y: SolutionSnapshot, delta_contr: float,
     changed = True
     while changed:
         changed = False
-        current = TensorTrain._trusted(cores)
-        for k in range(current.d):
-            msize = cores[k].shape[1]
-            if msize <= 3:
-                continue
-            if _slice_norm(current, k, msize - 1) <= delta_contr:
-                cores[k] = cores[k][:, :msize - 1, :]
+        for k, centre in enumerate(tt_centres(TensorTrain._trusted(cores))):
+            if cores[k].shape[1] > 3 and np.linalg.norm(centre[:, -1]) <= delta_contr:
+                cores[k] = cores[k][:, :-1, :]
                 changed = True
                 break
     return SolutionSnapshot(t=y.t, coeffs=TensorTrain._trusted(cores))

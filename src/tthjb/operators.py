@@ -17,8 +17,8 @@ import numpy as np
 
 from .basis import PolySpace, derivative_matrix, ou_generator_matrix, \
     power_coefficients, product_tensor, taylor_rows
-from .tt import TensorTrain, check_finite, laplace_like_sum, mode_apply, \
-    right_orthogonalize, tt_add_scaled, tt_round, tt_scale
+from .tt import TensorTrain, check_finite, laplace_like_sum, mode_apply, tt_add_scaled, \
+    tt_centres, tt_round, tt_scale
 
 
 # ----------------------------------------------------------------------
@@ -360,18 +360,13 @@ def projection_norms(a: TensorTrain, degrees) -> tuple[float, float]:
 
     ``a - P a`` splits into disjoint blocks: block ``k`` takes the kept rows
     of the modes before ``k``, the dropped rows of mode ``k`` and all rows
-    after it.  With ``a`` right-orthogonalized, a left-to-right QR sweep over
-    the kept rows leaves the norm of each block on one small core.
+    after it.  Its norm is that of the dropped rows of the core
+    :func:`~tthjb.tt.tt_centres` yields for mode ``k`` over the kept rows.
     """
-    ortho = right_orthogonalize(a)
-    left = np.ones((1, 1))
-    dropped_sq = 0.0
-    for core, kept in zip(ortho.cores, project_degree(ortho, degrees).cores):
-        dropped = np.tensordot(left, core[:, kept.shape[1]:], axes=(1, 0))
-        dropped_sq += float(np.linalg.norm(dropped)) ** 2
-        kept = np.tensordot(left, kept, axes=(1, 0))
-        left = np.linalg.qr(kept.reshape(-1, kept.shape[2]), mode="r")
-    return float(np.linalg.norm(ortho.cores[0])), float(np.sqrt(dropped_sq))
+    kept = project_degree(a, degrees).mode_sizes
+    centres = list(tt_centres(a, kept))
+    dropped_sq = sum(float(np.linalg.norm(c[:, n:])) ** 2 for c, n in zip(centres, kept))
+    return float(np.linalg.norm(centres[0])), float(np.sqrt(dropped_sq))
 
 
 def apply_stiffness(b: TensorTrain | StiffnessSide, a: TensorTrain,

@@ -244,29 +244,24 @@ def dense_rhs_reference(a: np.ndarray, space: PolySpace) -> np.ndarray:
 # Quadrature-based score for 2-d potentials
 # ----------------------------------------------------------------------
 
-def quadrature_score_2d(spec: PotentialSpec, q_order: int, domain, t: float, x):
-    """Value and gradient of ``-log pi_t`` for a 2-d potential via quadrature.
+def quadrature_scorer_2d(spec: PotentialSpec, q_order: int, domain):
+    """Value and gradient of ``-log pi_t`` for a 2-d potential via quadrature,
+    as a function ``score(t, x) -> (v, grad)``.
 
     The density of the forward noising process is the convolution of the
     target with a Gaussian transition kernel (mean ``exp(-t) x0``, variance
     ``1 - exp(-2t)`` per coordinate); the integral is replaced by a tensor
-    Gauss-Legendre rule with ``q_order`` points per axis on ``domain``.
-    Evaluated with log-sum-exp for underflow safety.
+    Gauss-Legendre rule with ``q_order`` points per axis on ``domain``, built
+    once per scorer.  Evaluated with log-sum-exp for underflow safety.
 
-    ``x`` may be a single point or an ``(m, 2)`` batch; returns ``(v, grad)``
-    with matching leading shape.
+    ``x`` may be a single point or an ``(m, 2)`` batch; ``v`` and ``grad``
+    have matching leading shape.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
     if q_order < 2:
         raise ValueError("need at least 2 quadrature points per axis")
     dom = np.asarray(domain, dtype=np.float64)
     if dom.shape == (2,):
         dom = np.stack([dom, dom])
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-
     nodes = []
     weights = []
     for a, b in dom:
@@ -282,21 +277,29 @@ def quadrature_score_2d(spec: PotentialSpec, q_order: int, domain, t: float, x):
     keep = log_prior > np.max(log_prior) - 60.0
     grid, log_prior = grid[keep], log_prior[keep]
 
-    var = 1.0 - np.exp(-2.0 * t)
-    means = np.exp(-t) * grid
-    # logits built in-place: log_prior_j - |x - m_j|^2 / (2 var) - log(2 pi var)
-    logits = pts @ (means.T / var)
-    logits += (log_prior - np.sum(means ** 2, axis=1) / (2.0 * var))[None, :]
-    col = np.sum(pts ** 2, axis=1) / (2.0 * var) + np.log(2.0 * np.pi * var)
-    logits -= col[:, None]
-    peak = np.max(logits, axis=1, keepdims=True)
-    if not np.all(np.isfinite(peak)):
-        raise FloatingPointError("quadrature density underflowed to zero")
-    np.subtract(logits, peak, out=logits)
-    np.exp(logits, out=logits)
-    total = np.sum(logits, axis=1)
-    v = -(peak[:, 0] + np.log(total))
-    grad = (pts - (logits @ means) / total[:, None]) / var
-    if single:
-        return float(v[0]), grad[0]
-    return v, grad
+    def score(t: float, x):
+        if t <= 0:
+            raise ValueError("t must be positive")
+        x = np.asarray(x, dtype=np.float64)
+        single = x.ndim == 1
+        pts = np.atleast_2d(x)
+        var = 1.0 - np.exp(-2.0 * t)
+        means = np.exp(-t) * grid
+        # logits built in-place: log_prior_j - |x - m_j|^2 / (2 var) - log(2 pi var)
+        logits = pts @ (means.T / var)
+        logits += (log_prior - np.sum(means ** 2, axis=1) / (2.0 * var))[None, :]
+        col = np.sum(pts ** 2, axis=1) / (2.0 * var) + np.log(2.0 * np.pi * var)
+        logits -= col[:, None]
+        peak = np.max(logits, axis=1, keepdims=True)
+        if not np.all(np.isfinite(peak)):
+            raise FloatingPointError("quadrature density underflowed to zero")
+        np.subtract(logits, peak, out=logits)
+        np.exp(logits, out=logits)
+        total = np.sum(logits, axis=1)
+        v = -(peak[:, 0] + np.log(total))
+        grad = (pts - (logits @ means) / total[:, None]) / var
+        if single:
+            return float(v[0]), grad[0]
+        return v, grad
+
+    return score

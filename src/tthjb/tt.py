@@ -263,6 +263,20 @@ def tt_norm(a: TensorTrain) -> float:
     return float(np.linalg.norm(a.cores[0]))
 
 
+def tt_centres(a: TensorTrain, kept=None):
+    """Yield, mode by mode, core ``k`` of ``a`` with every other core
+    orthonormal: the norm of a row block of it is the norm of ``a`` with mode
+    ``k`` restricted to those rows.  With ``kept``, modes ``j < k`` keep only
+    their first ``kept[j]`` rows.  One right-orthogonalization, then a QR
+    sweep that goes only as far as the consumer reads."""
+    left = np.ones((1, 1))
+    for k, core in enumerate(right_orthogonalize(a).cores):
+        centre = np.tensordot(left, core, axes=(1, 0))
+        yield centre
+        rows = centre if kept is None else centre[:, :kept[k]]
+        left = np.linalg.qr(rows.reshape(-1, rows.shape[2]), mode="r")
+
+
 def _fix_svd_signs(u, vt):
     """Deterministic sign convention: first nonzero entry of each left
     singular vector is positive.  Flips ``u`` and ``vt`` in place."""
@@ -290,20 +304,28 @@ def _truncation_rank(s, thresh, cap):
 
 
 def tt_round(a: TensorTrain, tol: float = 0.0, max_ranks=None) -> TensorTrain:
-    """SVD-based recompression (retraction onto lower-rank manifolds).
+    """SVD-based recompression: the TT of :func:`tt_round_with_error`."""
+    return tt_round_with_error(a, tol, max_ranks)[0]
+
+
+def tt_round_with_error(a: TensorTrain, tol: float = 0.0,
+                        max_ranks=None) -> tuple[TensorTrain, float]:
+    """SVD-based recompression (retraction onto lower-rank manifolds) and
+    its relative Frobenius error ``|a - rounded| / |a|``.
 
     Right-to-left orthogonalization followed by a left-to-right SVD
     truncation sweep.  In ``tol`` mode each bond discards a singular-value
     tail of at most ``tol * ||a||_F / sqrt(d - 1)``, which bounds the total
     relative error by ``tol``.  ``max_ranks`` caps the d-1 interior ranks
     componentwise.  Ranks never increase; a zero tensor is returned in the
-    canonical all-rank-1 form.
+    canonical all-rank-1 form, with error 0.  The discarded parts are
+    mutually orthogonal: the error is the root of their summed squares.
     """
     if tol < 0:
         raise ValueError("tol must be non-negative")
     d = a.d
     if d == 1:
-        return a.copy()
+        return a.copy(), 0.0
     if max_ranks is None:
         caps = [np.inf] * (d - 1)
     else:
@@ -315,20 +337,23 @@ def tt_round(a: TensorTrain, tol: float = 0.0, max_ranks=None) -> TensorTrain:
     ortho = right_orthogonalize(a)
     norm = float(np.linalg.norm(ortho.cores[0]))
     if norm == 0.0:
-        return tt_zero(a.mode_sizes)
+        return tt_zero(a.mode_sizes), 0.0
     thresh = tol * norm / np.sqrt(d - 1)
     cores = list(ortho.cores)
+    discarded_sq = 0.0
     for i in range(d - 1):
         r0, m, r1 = cores[i].shape
         u, s, vt = np.linalg.svd(cores[i].reshape(r0 * m, r1), full_matrices=False)
         u, vt = _fix_svd_signs(u, vt)
         k = _truncation_rank(s, thresh, caps[i])
+        discarded_sq += float(np.sum(s[k:] ** 2))
         cores[i] = u[:, :k].reshape(r0, m, k)
         carry = s[:k, None] * vt[:k]
         nxt = cores[i + 1]
         cores[i + 1] = (carry @ nxt.reshape(nxt.shape[0], -1)).reshape(
             k, nxt.shape[1], nxt.shape[2])
-    return TensorTrain._trusted(cores, ortho=("left", d - 1))
+    return (TensorTrain._trusted(cores, ortho=("left", d - 1)),
+            float(np.sqrt(discarded_sq)) / norm)
 
 
 def tt_round_sketched(a: TensorTrain, sketch: TensorTrain, max_ranks=None) -> TensorTrain:

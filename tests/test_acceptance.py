@@ -23,7 +23,7 @@ from tthjb.operators import (PotentialSpec, apply_lin, apply_nonlin,
 from tthjb.oracles import (dense_lin, dense_multiply, dense_nonlin,
                            dense_nonlin_linearized, dense_partial,
                            dense_project, gaussian_eigen_bound,
-                           quadratic_tt_cores, quadrature_score_2d,
+                           quadratic_tt_cores, quadrature_scorer_2d,
                            riccati_reference)
 from tthjb.sample import (SamplerConfig, eval_v_batch, grad_v_batch,
                           reverse_sample, reverse_sample_scored)
@@ -320,10 +320,8 @@ def test_criterion_09_perturbation_study():
     domain = (-2.5, 2.5)  # contains the effective support of exp(-potential)
 
     def make_grad(q_order):
-        def fn(s, z):
-            _, g = quadrature_score_2d(DOUBLEWELL_2D, q_order, domain, s, z)
-            return g
-        return fn
+        score = quadrature_scorer_2d(DOUBLEWELL_2D, q_order, domain)
+        return lambda s, z: score(s, z)[1]
 
     eds = {}
     for name, q_order, langevin in [("Q50", 50, 0), ("Q3", 3, 0),

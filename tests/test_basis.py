@@ -109,12 +109,12 @@ class TestEvaluate:
 class TestDerivative:
     def test_constant_has_zero_derivative(self):
         bs = build_basis(0.0, 2.0, 3)
-        assert bs.evaluate_derivative(1.3)[0] == 0.0
+        assert bs.evaluate_with_derivative(1.3)[1][0] == 0.0
 
     def test_linear_derivative_constant(self):
         bs = build_basis(-1.0, 1.0, 2)
         for x in (-0.9, 0.0, 0.4):
-            assert bs.evaluate_derivative(x)[1] == pytest.approx(np.sqrt(1.5), abs=1e-13)
+            assert bs.evaluate_with_derivative(x)[1][1] == pytest.approx(np.sqrt(1.5), abs=1e-13)
 
     def test_finite_difference_agreement(self):
         rng = np.random.default_rng(2)
@@ -122,7 +122,7 @@ class TestDerivative:
         h = 1e-7
         for x in rng.uniform(-2, 2, 10):
             fd = (bs.evaluate(x + h) - bs.evaluate(x - h)) / (2 * h)
-            np.testing.assert_allclose(bs.evaluate_derivative(x), fd, atol=1e-6)
+            np.testing.assert_allclose(bs.evaluate_with_derivative(x)[1], fd, atol=1e-6)
 
 
 class TestOperatorMatrices:

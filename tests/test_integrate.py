@@ -17,7 +17,7 @@ from tthjb.operators import (PotentialSpec, PotentialTerm, apply_stiffness,
                              build_potential_tt, covariance_error, extract_quadratic,
                              prepare_stiffness)
 from tthjb.oracles import dense_nonlin, gaussian_eigen_bound, riccati_reference
-from tthjb.tt import tt_from_dense, tt_norm, tt_random, tt_to_dense
+from tthjb.tt import tt_centres, tt_from_dense, tt_norm, tt_random, tt_to_dense
 
 
 def gaussian_setup(d, seed, intervals=(-5.0, 5.0)):
@@ -252,6 +252,25 @@ class TestStepsizeRules:
         assert rel_retr(got) <= cfg.delta_rank
         assert got >= scan_opt * 0.98 - (taus[1] - taus[0])
 
+    @pytest.mark.parametrize("tau_init", [1e-4, 1.0], ids=["doubling", "halving"])
+    def test_retraction_evaluates_no_step_twice(self, monkeypatch, tau_init):
+        space = PolySpace([(-2, 2)] * 2, [3, 3])
+        y = tt_random(space.mode_sizes, (1, 2, 1), np.random.default_rng(4))
+        snap = SolutionSnapshot(0.0, y)
+        q = _step_quantities(snap, space)
+        cfg = SolverConfig(T=1, tau_max=1.0, delta_rank=0.02)
+        taus = []
+        rel_err = integrate._retraction_rel_err
+
+        def recording(y, rhs, tau, target_ranks):
+            taus.append(tau)
+            return rel_err(y, rhs, tau, target_ranks)
+
+        monkeypatch.setattr(integrate, "_retraction_rel_err", recording)
+        got = stepsize_retraction(snap, q.rhs, [2], tau_init, cfg, tau_cap=1.0)
+        assert 1e-3 < got < 1.0  # the search doubled or halved, then bisected
+        assert len(taus) == len(set(taus)), taus
+
     def test_retraction_rank_budget_failure(self):
         space = PolySpace([(-2, 2)] * 3, [3] * 3)
         rng = np.random.default_rng(5)
@@ -322,14 +341,19 @@ class TestRecompression:
         assert out.coeffs.mode_sizes == (3, 3)
 
     def test_slice_norm_matches_dense(self):
+        # every row of every centre core against the dense slice, and with
+        # ``kept`` against the slice of the leading block of earlier modes
         rng = np.random.default_rng(8)
-        from tthjb.integrate import _slice_norm
-        y = tt_random((4, 4, 4), (1, 3, 3, 1), rng)
+        y = tt_random((4, 5, 3, 4), (1, 3, 4, 2, 1), rng)
         dense = tt_to_dense(y)
-        for k in range(3):
-            got = _slice_norm(y, k, 3)
-            ref = np.linalg.norm(np.take(dense, 3, axis=k))
-            assert got == pytest.approx(ref, rel=1e-12)
+        kept = [2, 3, 1, 4]
+        for rows in (None, kept):
+            for k, centre in enumerate(tt_centres(y, rows)):
+                block = dense[tuple(slice(n) for n in rows[:k])] if rows else dense
+                for index in range(y.mode_sizes[k]):
+                    ref = np.linalg.norm(np.take(block, index, axis=k))
+                    got = np.linalg.norm(centre[:, index])
+                    assert got == pytest.approx(ref, rel=1e-12)
 
     def test_rank_adapt_preserves_small_states(self):
         _, space, phi = gaussian_setup(4, seed=9)

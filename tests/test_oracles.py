@@ -10,7 +10,7 @@ from tthjb.operators import PotentialSpec
 from tthjb.oracles import (_legendre_from_monomials, dense_lin, dense_nonlin,
                            dense_project, dense_rhs_reference,
                            gaussian_eigen_bound, hopf_cole_check,
-                           quadratic_tt_cores, quadrature_score_2d,
+                           quadratic_tt_cores, quadrature_scorer_2d,
                            riccati_reference)
 from tthjb.sample import eval_v_batch
 from tthjb.tt import tt_round, tt_to_dense
@@ -109,14 +109,62 @@ class TestQuadraticCores:
         assert np.linalg.matrix_rank(dense.reshape(3, 3), tol=1e-10) == 3
 
 
+def per_call_quadrature_score(spec, q_order, domain, t, x):
+    """Reference quadrature score that rebuilds the nodes, the prior and
+    the node mask on every call."""
+    dom = np.asarray(domain, dtype=np.float64)
+    if dom.shape == (2,):
+        dom = np.stack([dom, dom])
+    pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    nodes, weights = [], []
+    for a, b in dom:
+        u, w = np.polynomial.legendre.leggauss(q_order)
+        nodes.append(0.5 * (b - a) * u + 0.5 * (a + b))
+        weights.append(0.5 * (b - a) * w)
+    xx, yy = np.meshgrid(nodes[0], nodes[1], indexing="ij")
+    grid = np.column_stack([xx.ravel(), yy.ravel()])
+    logw = np.add.outer(np.log(weights[0]), np.log(weights[1])).ravel()
+    log_prior = logw - spec.evaluate(grid)
+    keep = log_prior > np.max(log_prior) - 60.0
+    grid, log_prior = grid[keep], log_prior[keep]
+    var = 1.0 - np.exp(-2.0 * t)
+    means = np.exp(-t) * grid
+    logits = pts @ (means.T / var)
+    logits += (log_prior - np.sum(means ** 2, axis=1) / (2.0 * var))[None, :]
+    col = np.sum(pts ** 2, axis=1) / (2.0 * var) + np.log(2.0 * np.pi * var)
+    logits -= col[:, None]
+    peak = np.max(logits, axis=1, keepdims=True)
+    np.subtract(logits, peak, out=logits)
+    np.exp(logits, out=logits)
+    total = np.sum(logits, axis=1)
+    v = -(peak[:, 0] + np.log(total))
+    grad = (pts - (logits @ means) / total[:, None]) / var
+    return (float(v[0]), grad[0]) if np.ndim(x) == 1 else (v, grad)
+
+
 class TestQuadratureScore:
     SPEC = PotentialSpec(builtins=[{"name": "doublewell", "coords": (0, 1),
                                     "params": {}}])
 
+    @pytest.mark.parametrize("q_order, domain", [
+        (3, (-2.5, 2.5)), (50, (-2.5, 2.5)), (120, ((-6, 6), (-5, 4)))])
+    def test_scorer_bitwise_equals_per_call_rule(self, q_order, domain):
+        # one scorer serves many times and batches; the widest rule drops
+        # nodes through the e^-60 mask
+        score = quadrature_scorer_2d(self.SPEC, q_order, domain)
+        rng = np.random.default_rng(10)
+        for t in (0.04, 0.5, 3.0):
+            for x in (rng.uniform(-2, 2, 2), rng.uniform(-2, 2, (7, 2))):
+                v, g = score(t, x)
+                v_ref, g_ref = per_call_quadrature_score(self.SPEC, q_order, domain, t, x)
+                np.testing.assert_array_equal(v, v_ref)
+                np.testing.assert_array_equal(g, g_ref)
+                assert type(v) is type(v_ref)
+
     def test_large_time_asymptote(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(-0.4, 0.4, (10, 2))
-        _, g = quadrature_score_2d(self.SPEC, 60, (-5, 5), 5.0, pts)
+        _, g = quadrature_scorer_2d(self.SPEC, 60, (-5, 5))(5.0, pts)
         np.testing.assert_allclose(g, pts, atol=1e-2)
 
     def test_self_convergence(self):
@@ -125,44 +173,44 @@ class TestQuadratureScore:
         # wider [-5,5] that takes Q~80.
         rng = np.random.default_rng(6)
         pts = rng.uniform(-2, 2, (20, 2))
-        _, ga = quadrature_score_2d(self.SPEC, 50, (-3, 3), 0.5, pts)
-        _, gb = quadrature_score_2d(self.SPEC, 200, (-3, 3), 0.5, pts)
+        _, ga = quadrature_scorer_2d(self.SPEC, 50, (-3, 3))(0.5, pts)
+        _, gb = quadrature_scorer_2d(self.SPEC, 200, (-3, 3))(0.5, pts)
         assert np.max(np.abs(ga - gb)) <= 1e-6
-        _, gc = quadrature_score_2d(self.SPEC, 80, (-5, 5), 0.5, pts)
-        _, gd = quadrature_score_2d(self.SPEC, 200, (-5, 5), 0.5, pts)
+        _, gc = quadrature_scorer_2d(self.SPEC, 80, (-5, 5))(0.5, pts)
+        _, gd = quadrature_scorer_2d(self.SPEC, 200, (-5, 5))(0.5, pts)
         assert np.max(np.abs(gc - gd)) <= 1e-6
 
     def test_domain_enlargement_invariance(self):
         rng = np.random.default_rng(7)
         pts = rng.uniform(-2, 2, (20, 2))
-        _, ga = quadrature_score_2d(self.SPEC, 100, (-5, 5), 0.5, pts)
-        _, gb = quadrature_score_2d(self.SPEC, 100, (-6, 6), 0.5, pts)
+        _, ga = quadrature_scorer_2d(self.SPEC, 100, (-5, 5))(0.5, pts)
+        _, gb = quadrature_scorer_2d(self.SPEC, 100, (-6, 6))(0.5, pts)
         assert np.max(np.abs(ga - gb)) <= 1e-6
 
     def test_low_order_deviates_materially(self):
         rng = np.random.default_rng(8)
         pts = rng.uniform(-2, 2, (20, 2))
-        _, g3 = quadrature_score_2d(self.SPEC, 3, (-5, 5), 0.5, pts)
-        _, g50 = quadrature_score_2d(self.SPEC, 50, (-5, 5), 0.5, pts)
+        _, g3 = quadrature_scorer_2d(self.SPEC, 3, (-5, 5))(0.5, pts)
+        _, g50 = quadrature_scorer_2d(self.SPEC, 50, (-5, 5))(0.5, pts)
         assert np.max(np.abs(g3 - g50) / (1 + np.abs(g50))) > 0.1
 
     def test_gradient_is_derivative_of_value(self):
         rng = np.random.default_rng(9)
         pts = rng.uniform(-1.5, 1.5, (5, 2))
-        v, g = quadrature_score_2d(self.SPEC, 60, (-5, 5), 0.7, pts)
+        v, g = quadrature_scorer_2d(self.SPEC, 60, (-5, 5))(0.7, pts)
         h = 1e-6
         for k in range(2):
             shift = np.zeros(2)
             shift[k] = h
-            vp, _ = quadrature_score_2d(self.SPEC, 60, (-5, 5), 0.7, pts + shift)
-            vm, _ = quadrature_score_2d(self.SPEC, 60, (-5, 5), 0.7, pts - shift)
+            vp, _ = quadrature_scorer_2d(self.SPEC, 60, (-5, 5))(0.7, pts + shift)
+            vm, _ = quadrature_scorer_2d(self.SPEC, 60, (-5, 5))(0.7, pts - shift)
             np.testing.assert_allclose((vp - vm) / (2 * h), g[:, k], atol=1e-6)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            quadrature_score_2d(self.SPEC, 1, (-5, 5), 0.5, np.zeros(2))
+            quadrature_scorer_2d(self.SPEC, 1, (-5, 5))(0.5, np.zeros(2))
         with pytest.raises(ValueError):
-            quadrature_score_2d(self.SPEC, 10, (-5, 5), 0.0, np.zeros(2))
+            quadrature_scorer_2d(self.SPEC, 10, (-5, 5))(0.0, np.zeros(2))
 
 
 class TestDenseReference:

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from tthjb.tt import (TensorTrain, _fix_svd_signs, laplace_like_sum, mode_apply,
                       read_checkpoint, right_orthogonalize, tt_add_scaled,
                       tt_contract_mode_vectors, tt_from_dense, tt_inner,
-                      tt_norm, tt_random, tt_round, tt_round_sketched, tt_scale,
-                      tt_to_dense, tt_zero, write_checkpoint)
+                      tt_norm, tt_random, tt_round, tt_round_sketched,
+                      tt_round_with_error, tt_scale, tt_to_dense, tt_zero,
+                      write_checkpoint)
 
 
 def random_tt(rng, mode_sizes, ranks):
@@ -200,6 +201,26 @@ class TestRound:
         rng = np.random.default_rng(14)
         a = TensorTrain([rng.standard_normal((1, 5, 1))])
         np.testing.assert_array_equal(tt_to_dense(tt_round(a, tol=0.1)), tt_to_dense(a))
+
+    @pytest.mark.parametrize("modes, ranks, tol, caps", [
+        ((3, 4, 3, 3), (3, 4, 3), 0.0, [1, 2, 2]),
+        ((5, 6), (5,), 0.0, [2]),
+        ((3, 3, 3, 3), (3, 4, 3), 0.3, None),
+        ((3, 3, 3, 3), (3, 4, 3), 1e-3, [2, 9, 1]),
+        ((3, 3, 3), (2, 2), 0.0, None),
+        ((5,), (), 0.1, None),
+    ], ids=["caps", "matrix-cap", "tol", "tol-and-caps", "lossless", "d1"])
+    def test_reported_error_matches_dense(self, modes, ranks, tol, caps):
+        a = random_tt(np.random.default_rng(15), modes, ranks)
+        rounded, err = tt_round_with_error(a, tol=tol, max_ranks=caps)
+        assert rounded.ranks == tt_round(a, tol=tol, max_ranks=caps).ranks
+        da = tt_to_dense(a)
+        ref = np.linalg.norm(da - tt_to_dense(rounded)) / np.linalg.norm(da)
+        assert abs(err - ref) <= 1e-12 * ref + 1e-15
+
+    def test_reported_error_of_zero_tensor(self):
+        rounded, err = tt_round_with_error(tt_zero((3, 3, 3)), max_ranks=[1, 1])
+        assert err == 0.0 and rounded.ranks == (1, 1, 1, 1)
 
 
 def philox_sketch(mode_sizes, caps, key, oversample=6):
