@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -91,6 +92,10 @@ def parse_run_config(obj: dict):
         raise ConfigError("potential", str(exc)) from exc
 
     sol = _require(obj, "solver", "$", dict)
+    known = {f.name for f in dataclasses.fields(SolverConfig)}
+    for key in sol:
+        if key not in known:
+            raise ConfigError(f"solver.{key}", "unknown key")
     try:
         solver = SolverConfig(
             T=float(_require(sol, "T", "solver")),

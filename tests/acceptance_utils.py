@@ -18,15 +18,18 @@ def metropolis_samples(spec, n, seed, steps=400, proposal=0.6, init_box=2.0):
     return x
 
 
-def energy_distance(x, y, chunk=2000):
-    """Energy distance 2 E|X-Y| - E|X-X'| - E|Y-Y'| (V-statistic)."""
+def energy_distances(xs, y, chunk=2000):
+    """Energy distance 2 E|X-Y| - E|X-X'| - E|Y-Y'| (V-statistic) of each
+    sample set X in ``xs`` to the reference ``y``, whose self term E|Y-Y'| is
+    computed once."""
     def mean_dist(a, b):
         total = 0.0
         for i in range(0, len(a), chunk):
             d = np.sqrt(((a[i:i + chunk, None, :] - b[None, :, :]) ** 2).sum(-1))
             total += d.sum()
         return total / (len(a) * len(b))
-    return 2 * mean_dist(x, y) - mean_dist(x, x) - mean_dist(y, y)
+    yy = mean_dist(y, y)
+    return [2 * mean_dist(x, y) - mean_dist(x, x) - yy for x in xs]
 
 
 def kde_mode_count(samples, grid_points=400, floor_frac=0.05):

@@ -76,6 +76,15 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert re.match(f"config error at {path}:", err) and err.count("\n") == 1
 
+    @pytest.mark.parametrize("key", ["power_max_iter", "power_stability_window"])
+    def test_unknown_solver_key_exits_1(self, tmp_path, capsys, key):
+        cfg_path, cfg = gaussian_config(tmp_path, d=1)
+        cfg["solver"][key] = 6
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["solve", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error at solver.{key}: unknown key\n"
+
     def test_floor_check_rejects_constant(self):
         space = PolySpace([(-1, 1)] * 2, [2, 2])
         spec = PotentialSpec.from_json(

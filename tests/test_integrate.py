@@ -64,8 +64,6 @@ class TestSolverConfig:
             SolverConfig(T=1, tau_max=0.1, rho=1.5)
         with pytest.raises(ValueError):
             SolverConfig(T=1, tau_max=0.1, rho=[(0.5, 0.2)])  # must start at 0
-        with pytest.raises(ValueError, match="power_stability_window"):
-            SolverConfig(T=1, tau_max=0.1, power_stability_window=0)
 
 
 class TestPowerIteration:
@@ -73,8 +71,7 @@ class TestPowerIteration:
         # v = x^2 is 0.5 * 2 x^2; the per-dimension spectrum is
         # {0, 1-2a, 2(1-2a)} with a = 2, so |lambda| = 6.
         space, phi = diag_gaussian([2.0])
-        cfg = SolverConfig(**CFG, p_digits=3, power_max_iters=300,
-                           power_stability_window=6, seed=3)
+        cfg = SolverConfig(**CFG, p_digits=3, power_max_iters=300, seed=3)
         lam, iters = power_iteration_bound(SolutionSnapshot(0.0, phi), space, cfg)
         eps_p = 1e-3  # P = ceil(-log10 6) = 0; eps = 10^-(0+3)
         assert 6.0 < lam <= 6.0 + eps_p + 1e-9
@@ -82,8 +79,7 @@ class TestPowerIteration:
 
     def test_d3_matches_closed_form_sum(self):
         space, phi = diag_gaussian([1.0, 2.0, 3.0])
-        cfg = SolverConfig(**CFG, p_digits=12, power_max_iters=2000,
-                           power_stability_window=6, seed=3)
+        cfg = SolverConfig(**CFG, p_digits=13, power_max_iters=2000, seed=3)
         lam, _ = power_iteration_bound(SolutionSnapshot(0.0, phi), space, cfg)
         bound = gaussian_eigen_bound([1.0, 2.0, 3.0])
         assert abs(lam - bound) / bound <= 0.01
@@ -94,13 +90,13 @@ class TestPowerIteration:
         for trial in range(5):
             diag = rng.uniform(0.6, 3.0, size=2)
             space, phi = diag_gaussian(diag)
-            cfg = SolverConfig(**CFG, p_digits=12, power_max_iters=2000,
-                               power_stability_window=6, seed=100 + trial)
+            cfg = SolverConfig(**CFG, p_digits=13, power_max_iters=2000,
+                               seed=100 + trial)
             lam, _ = power_iteration_bound(SolutionSnapshot(0.0, phi), space, cfg)
             bound = gaussian_eigen_bound(diag)
             assert abs(lam) <= bound * (1 + 1e-6) + 1e-2
 
-    @pytest.mark.parametrize("d", [4, 5])
+    @pytest.mark.parametrize("d", [4, 5, 6])
     @pytest.mark.parametrize("seed", range(4))
     def test_default_estimate_within_10_percent_of_dense_radius(self, d, seed):
         rng = np.random.default_rng(500 + 10 * d + seed)
@@ -121,11 +117,12 @@ class TestPowerIteration:
                                        SolverConfig(T=1.0, tau_max=0.1, seed=seed))
         assert abs(est / rho - 1.0) <= 0.10
 
-    def test_capped_estimate_is_second_half_mean(self, monkeypatch):
-        _, space, phi = gaussian_setup(5, seed=3)
-        cfg = SolverConfig(**CFG, p_digits=12, power_max_iters=40, seed=1)
-        est, iters = power_iteration_bound(SolutionSnapshot(0.0, phi), space, cfg)
-        assert iters == 40
+    @pytest.mark.parametrize("d,seed,p_digits,max_iters,stops", [
+        (5, 3, 12, 40, False), (4, 0, 3, 200, True)], ids=["capped", "stopped"])
+    def test_estimate_is_second_half_mean(self, monkeypatch, d, seed, p_digits,
+                                          max_iters, stops):
+        _, space, phi = gaussian_setup(d, seed=seed)
+        cfg = SolverConfig(**CFG, p_digits=p_digits, power_max_iters=max_iters, seed=1)
         seen = []
         real_inner = integrate.tt_inner
 
@@ -134,8 +131,19 @@ class TestPowerIteration:
             return seen[-1]
 
         monkeypatch.setattr(integrate, "tt_inner", recording)
-        assert power_iteration_bound(SolutionSnapshot(0.0, phi), space, cfg)[0] == est
-        mean = float(np.mean(seen[20:]))
+        state = PowerState()
+        est, iters = power_iteration_bound(SolutionSnapshot(0.0, phi), space, cfg, state)
+        assert len(seen) == iters and state.converged == stops
+        means = [float(np.mean(seen[k // 2:k])) for k in range(1, iters + 1)]
+        settled = [k for k in range(2, iters + 1)
+                   if abs(means[k - 1] - means[k - 2]) <= 10.0 ** -p_digits * means[k - 1]]
+        # the rule fires at the first settled k from the cold-start floor on
+        later = [k for k in settled if k >= integrate.COLD_START_ITERS]
+        assert iters == (later[0] if stops else max_iters)
+        assert stops == bool(later)
+        if stops:  # the floor held back a rule that had settled earlier
+            assert settled[0] < integrate.COLD_START_ITERS
+        mean = means[-1]
         assert est == mean + 10.0 ** (-(math.ceil(-math.log10(mean)) + cfg.p_digits))
 
     def test_warm_start_state(self):
