@@ -13,13 +13,17 @@ Config schema::
       "potential": {"terms": [...], "builtins": [...]},
       "solver": {"T": ..., "tau_max": ..., "rho": ... | [[t, rho], ...],
                  "delta_proj": ..., "delta_rank": ..., "delta_contr": ...,
-                 "p_digits": ..., "power_max_iters": ..., "power_perturb": ...,
-                 "seed": ...},
+                 "p_digits": ..., "power_max_iters": ..., "seed": ...},
       "sampler": {"lambda": ..., "n_particles": ..., "langevin_steps": ...,
                   "langevin_tau": ..., "seed": ...,
                   "clamp_to_domain": false},                  # optional
       "output_dir": "path"
     }
+
+The ``solver`` and ``sampler`` keys are the fields of ``SolverConfig`` and
+``SamplerConfig`` with their defaults (``lambda`` names ``lam``, and the
+sampler seed defaults to the solver seed).  A key that is not in the schema,
+in any section, is a config error.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import json
 import math
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -59,17 +64,54 @@ def _require(obj, key, path, typ=None):
     return val
 
 
-def _integer(value, path):
+def _check_keys(obj: dict, known, path: str):
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}", "unknown key")
+
+
+def _cast(value, typ, path):
+    """``value`` as ``typ``: ints and floats are converted, a bool must be
+    JSON ``true``/``false``, and other types pass unchanged."""
+    if typ is bool and not isinstance(value, bool):
+        raise ConfigError(path, f"expected true or false, got {value!r}")
+    if typ not in (int, float):
+        return value
     try:
-        return int(value)
+        return typ(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(path, f"expected an integer, got {value!r}") from exc
+        raise ConfigError(path, f"expected {typ.__name__}, got {value!r}") from exc
+
+
+def _read_dataclass(cls, obj, path: str, renames: dict, **fallbacks):
+    """Build dataclass ``cls`` from the config section ``obj``: one key per
+    field (named as in ``renames`` where given), cast to the field's type.
+    A field without a default is required; any other missing field takes
+    its value from ``fallbacks``, else its default."""
+    if not isinstance(obj, dict):
+        raise ConfigError(path, "expected an object")
+    types = typing.get_type_hints(cls)
+    fields = {renames.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    _check_keys(obj, fields, path)
+    kwargs = dict(fallbacks)
+    for key, f in fields.items():
+        if key in obj:
+            kwargs[f.name] = _cast(obj[key], types[f.name], f"{path}.{key}")
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"{path}.{key}", "missing required field")
+    try:
+        return cls(**kwargs)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 def parse_run_config(obj: dict):
-    """Validate a run config and build the typed pieces."""
+    """Validate a run config and build the typed pieces; without a
+    ``sampler`` section the sampler takes its defaults."""
+    _check_keys(obj, ("space", "potential", "solver", "sampler", "output_dir"), "$")
     spc = _require(obj, "space", "$", dict)
-    d = _integer(_require(spc, "dims", "space"), "space.dims")
+    _check_keys(spc, ("dims", "intervals", "degrees"), "space")
+    d = _cast(_require(spc, "dims", "space"), int, "space.dims")
     intervals = _require(spc, "intervals", "space", list)
     degrees = _require(spc, "degrees", "space", list)
     if len(intervals) != d or len(degrees) != d:
@@ -82,50 +124,21 @@ def parse_run_config(obj: dict):
         if not a < b:
             raise ConfigError(f"space.intervals[{i}]", "need [a, b] with a < b")
     for i, n in enumerate(degrees):
-        if _integer(n, f"space.degrees[{i}]") < 0:
+        if _cast(n, int, f"space.degrees[{i}]") < 0:
             raise ConfigError(f"space.degrees[{i}]", "degree must be >= 0")
     space = PolySpace(intervals, degrees)
 
+    pot = _require(obj, "potential", "$", dict)
+    _check_keys(pot, ("terms", "builtins"), "potential")
     try:
-        potential = PotentialSpec.from_json(_require(obj, "potential", "$", dict))
+        potential = PotentialSpec.from_json(pot)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError("potential", str(exc)) from exc
 
-    sol = _require(obj, "solver", "$", dict)
-    known = {f.name for f in dataclasses.fields(SolverConfig)}
-    for key in sol:
-        if key not in known:
-            raise ConfigError(f"solver.{key}", "unknown key")
-    try:
-        solver = SolverConfig(
-            T=float(_require(sol, "T", "solver")),
-            tau_max=float(_require(sol, "tau_max", "solver")),
-            rho=sol.get("rho", 0.2),
-            delta_proj=float(sol.get("delta_proj", 0.01)),
-            delta_rank=float(sol.get("delta_rank", 0.01)),
-            delta_contr=float(sol.get("delta_contr", 1e-8)),
-            p_digits=int(sol.get("p_digits", 3)),
-            power_max_iters=int(sol.get("power_max_iters", 200)),
-            power_perturb=float(sol.get("power_perturb", 0.25)),
-            seed=int(sol.get("seed", 0)),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError("solver", str(exc)) from exc
-
-    sampler = None
-    if obj.get("sampler") is not None:
-        smp = obj["sampler"]
-        try:
-            sampler = SamplerConfig(
-                lam=float(smp.get("lambda", 0.0)),
-                n_particles=int(smp.get("n_particles", 1000)),
-                langevin_steps=int(smp.get("langevin_steps", 0)),
-                langevin_tau=float(smp.get("langevin_tau", 0.005)),
-                seed=int(smp.get("seed", solver.seed)),
-                clamp_to_domain=bool(smp.get("clamp_to_domain", False)),
-            )
-        except (ValueError, TypeError) as exc:
-            raise ConfigError("sampler", str(exc)) from exc
+    solver = _read_dataclass(SolverConfig, _require(obj, "solver", "$"), "solver", {})
+    smp = obj.get("sampler")
+    sampler = _read_dataclass(SamplerConfig, {} if smp is None else smp, "sampler",
+                              {"lam": "lambda"}, seed=solver.seed)
 
     output_dir = _require(obj, "output_dir", "$", str)
     return space, potential, solver, sampler, output_dir
@@ -248,15 +261,13 @@ def cmd_sample(manifest_path: str, particles=None, lam=None, langevin_steps=None
     if manifest.get("error"):
         print(f"manifest records a solver abort: {manifest['error']}", file=sys.stderr)
         return 2
-    if sampler is None:
-        sampler = SamplerConfig(seed=solver.seed)
     overrides = {"n_particles": particles, "lam": lam,
                  "langevin_steps": langevin_steps, "langevin_tau": langevin_tau,
                  "seed": seed}
     fields = {k: v for k, v in overrides.items() if v is not None}
     if fields:
         try:
-            sampler = SamplerConfig(**{**sampler.__dict__, **fields})
+            sampler = dataclasses.replace(sampler, **fields)
         except ValueError as exc:
             print(f"invalid sampler option: {exc}", file=sys.stderr)
             return 1

@@ -42,6 +42,12 @@ SKETCH_OVERSAMPLING = 6
 # need no floor.
 COLD_START_ITERS = 20
 
+# Relative size of the seeded random direction blended into the power
+# iteration's start, so the iteration sees every eigensector of the
+# linearized operator (the solution itself can be exactly orthogonal to the
+# dominant one).
+POWER_PERTURB = 0.25
+
 
 class RankBudgetError(RuntimeError):
     """No step size within the search range satisfies the retraction bound."""
@@ -57,12 +63,10 @@ class SolverConfig:
 
     ``rho`` is either a single reduction factor in (0, 1) or a piecewise
     constant schedule given as ``[(t_start, value), ...]``; the value of the
-    last breakpoint at or before ``t`` applies.  ``power_perturb`` blends a
-    seeded random direction into the power-iteration start so the iteration
-    sees every eigensector of the linearized operator (the solution itself
-    can be exactly orthogonal to the dominant one).  Each step's power
-    iteration starts from the previous step's last iterate and rounds with a
-    sketch keyed by ``seed`` and the step index.  Its estimate is the mean
+    last breakpoint at or before ``t`` applies.  Each step's power iteration
+    starts from the previous step's last iterate (blended with a seeded
+    random direction, see ``POWER_PERTURB``) and rounds with a sketch keyed
+    by ``seed`` and the step index.  Its estimate is the mean
     ``|lambda|`` over the second half of the iterates; it stops once that
     mean moves by at most ``10^-p_digits`` relative between two iterations,
     or at ``power_max_iters`` (see :func:`power_iteration_bound`).
@@ -76,7 +80,6 @@ class SolverConfig:
     delta_contr: float = 1e-8
     p_digits: int = 3
     power_max_iters: int = 200
-    power_perturb: float = 0.25
     seed: int = 0
 
     def __post_init__(self):
@@ -188,7 +191,7 @@ def power_iteration_bound(y: SolutionSnapshot, space: PolySpace,
     deterministic and reruns are byte-identical.  The start is ``y``, or with
     ``state`` the previous step's last iterate projected onto ``y``'s
     degrees, blended with a seeded direction of relative size
-    ``power_perturb`` and rounded exactly to ``y``'s ranks.
+    ``POWER_PERTURB`` and rounded exactly to ``y``'s ranks.
 
     After ``k`` iterations with Rayleigh quotients ``lambda_j``, ``m_k`` is
     the mean of ``|lambda_j|`` over ``j`` in ``[k // 2, k)``.  The iteration
@@ -215,12 +218,11 @@ def power_iteration_bound(y: SolutionSnapshot, space: PolySpace,
     if tt_norm(Y) == 0.0:
         return 0.0, 0
     side = prepare_stiffness(Y, space)
-    caps = list(Y.interior_ranks) if Y.d > 1 else None
+    caps = Y.interior_ranks
     x = tt_scale(start, 1.0 / tt_norm(start))
-    if cfg.power_perturb > 0.0:
-        g = tt_random(Y.mode_sizes, Y.ranks, _philox(cfg.seed, 0x706F776572))
-        g = tt_scale(g, cfg.power_perturb / tt_norm(g))
-        x = tt_round(tt_add_scaled(x, g, 1.0), max_ranks=caps)
+    g = tt_random(Y.mode_sizes, Y.ranks, _philox(cfg.seed, 0x706F776572))
+    g = tt_scale(g, POWER_PERTURB / tt_norm(g))
+    x = tt_round(tt_add_scaled(x, g, 1.0), max_ranks=caps)
     step = state.step if state is not None else 0
     sketch_ranks = [1] + [r + SKETCH_OVERSAMPLING for r in Y.interior_ranks] + [1]
     sketch = tt_random(Y.mode_sizes, sketch_ranks, _philox(cfg.seed, 0x736B65746368, step))
@@ -264,22 +266,15 @@ def stepsize_stiffness(lambda_bar: float, rho: float) -> float:
 # Criteria 2 and 3: projection and retraction bounds
 # ----------------------------------------------------------------------
 
-@dataclass
-class _StepQuantities:
-    rhs: TensorTrain
-    nl_norm: float
-    rel_proj: float
-
-
-def _step_quantities(y: SolutionSnapshot, space: PolySpace) -> _StepQuantities:
-    """Right-hand side at ``y`` plus the relative degree-projection error
+def _step_quantities(y: SolutionSnapshot, space: PolySpace) -> tuple[TensorTrain, float]:
+    """Right-hand side at ``y`` and the relative degree-projection error
     ``|(I - P) NL| / |NL|`` of its nonlinear part."""
     degrees = [m - 1 for m in y.coeffs.mode_sizes]
     nl, _ = apply_nonlin(y.coeffs, space)
     nl_norm, dropped = projection_norms(nl, degrees)
     rel = dropped / nl_norm if dropped > PROJECTION_EPS * nl_norm else 0.0
     rhs = tt_add_scaled(apply_lin(y.coeffs, space), project_degree(nl, degrees), 1.0)
-    return _StepQuantities(rhs=rhs, nl_norm=nl_norm, rel_proj=rel)
+    return rhs, rel
 
 
 def _projection_bound(rel_proj: float, cfg: SolverConfig) -> float:
@@ -290,8 +285,8 @@ def _projection_bound(rel_proj: float, cfg: SolverConfig) -> float:
 def stepsize_projection(y: SolutionSnapshot, space: PolySpace,
                         cfg: SolverConfig) -> tuple[float, float]:
     """Step bound keeping the relative projection error below delta_proj."""
-    q = _step_quantities(y, space)
-    return _projection_bound(q.rel_proj, cfg), q.rel_proj
+    _, rel_proj = _step_quantities(y, space)
+    return _projection_bound(rel_proj, cfg), rel_proj
 
 
 def _retraction_rel_err(y: TensorTrain, rhs: TensorTrain, tau: float,
@@ -316,7 +311,6 @@ def stepsize_retraction(y: SolutionSnapshot, rhs: TensorTrain, target_ranks,
     if tau_cap is None:
         tau_cap = tau_init
     tau_init = min(tau_init, tau_cap)
-    target_ranks = list(target_ranks) if y.coeffs.d > 1 else None
 
     def ok(tau):
         return _retraction_rel_err(y.coeffs, rhs, tau, target_ranks) <= cfg.delta_rank
@@ -356,8 +350,7 @@ def stepsize_retraction(y: SolutionSnapshot, rhs: TensorTrain, target_ranks,
 def _euler_from_rhs(y: SolutionSnapshot, rhs: TensorTrain, tau: float,
                     target_ranks, delta_contr: float) -> SolutionSnapshot:
     ybar = tt_add_scaled(y.coeffs, rhs, tau)
-    caps = list(target_ranks) if ybar.d > 1 else None
-    rounded = tt_round(ybar, tol=delta_contr, max_ranks=caps)
+    rounded = tt_round(ybar, tol=delta_contr, max_ranks=target_ranks)
     return SolutionSnapshot(t=y.t + tau, coeffs=rounded)
 
 
@@ -370,8 +363,8 @@ def euler_step(y: SolutionSnapshot, tau: float, target_ranks,
     """
     if tau < 0:
         raise ValueError("tau must be non-negative")
-    q = _step_quantities(y, space)
-    return _euler_from_rhs(y, q.rhs, tau, target_ranks, delta_contr)
+    rhs, _ = _step_quantities(y, space)
+    return _euler_from_rhs(y, rhs, tau, target_ranks, delta_contr)
 
 
 def degree_truncate(y: SolutionSnapshot, delta_contr: float,
@@ -394,14 +387,15 @@ def degree_truncate(y: SolutionSnapshot, delta_contr: float,
     return SolutionSnapshot(t=y.t, coeffs=TensorTrain._trusted(cores))
 
 
+def _rank_caps(Y: TensorTrain, r0) -> list[int]:
+    """Interior rank caps ``max(current, 2)`` bounded by ``max(r0, 2)``."""
+    return np.minimum(np.maximum(Y.interior_ranks, 2), np.maximum(r0, 2)).tolist()
+
+
 def rank_adapt(y: SolutionSnapshot, r0, delta_contr: float) -> SolutionSnapshot:
     """Retract to ``max(current, 2)`` capped by ``max(initial, 2)`` and round
     at relative ``delta_contr`` in a single pass."""
-    if y.coeffs.d == 1:
-        return SolutionSnapshot(t=y.t, coeffs=tt_round(y.coeffs, tol=delta_contr))
-    current = np.asarray(y.coeffs.interior_ranks)
-    cap = np.minimum(np.maximum(current, 2), np.maximum(np.asarray(r0), 2))
-    rounded = tt_round(y.coeffs, tol=delta_contr, max_ranks=cap.tolist())
+    rounded = tt_round(y.coeffs, tol=delta_contr, max_ranks=_rank_caps(y.coeffs, r0))
     return SolutionSnapshot(t=y.t, coeffs=rounded)
 
 
@@ -451,18 +445,14 @@ def solve_hjb(phi: TensorTrain, space: PolySpace, cfg: SolverConfig) -> Trajecto
             power.step = step
             lambda_bar, power_iters = power_iteration_bound(snap, space, cfg, power)
             tau_lambda = stepsize_stiffness(lambda_bar, cfg.rho_at(t))
-            q = _step_quantities(snap, space)
-            tau_proj = _projection_bound(q.rel_proj, cfg)
-            if snap.coeffs.d > 1:
-                target = np.minimum(np.maximum(np.asarray(snap.coeffs.interior_ranks), 2),
-                                    np.maximum(np.asarray(r0), 2)).tolist()
-            else:
-                target = []
+            rhs, rel_proj = _step_quantities(snap, space)
+            tau_proj = _projection_bound(rel_proj, cfg)
+            target = _rank_caps(snap.coeffs, r0)
             remaining = cfg.T - t
             tau_cap = min(cfg.tau_max, tau_lambda, tau_proj, remaining)
             tau_init = min(tau_prev if tau_prev is not None else cfg.tau_max,
                            tau_cap)
-            tau_rank = stepsize_retraction(snap, q.rhs, target, tau_init, cfg,
+            tau_rank = stepsize_retraction(snap, rhs, target, tau_init, cfg,
                                            tau_cap=tau_cap)
             bounds = {"tau_max": cfg.tau_max, "stiffness": tau_lambda,
                       "projection": tau_proj, "horizon": remaining}
@@ -472,7 +462,7 @@ def solve_hjb(phi: TensorTrain, space: PolySpace, cfg: SolverConfig) -> Trajecto
             # over from reaching the horizon does not
             if tau < 1e-12 * cfg.T and tau < remaining:
                 raise StepUnderflowError(f"step size underflow at t={t}: tau={tau}")
-            new = _euler_from_rhs(snap, q.rhs, tau, target, cfg.delta_contr)
+            new = _euler_from_rhs(snap, rhs, tau, target, cfg.delta_contr)
             new = degree_truncate(new, cfg.delta_contr, space)
             new = rank_adapt(new, r0, cfg.delta_contr)
             if tau == remaining:
@@ -504,8 +494,5 @@ def evaluate_at_time(traj: Trajectory, t_star: float, space: PolySpace,
     base = traj.snapshots[idx]
     if base.t == t_star:
         return base
-    if base.coeffs.d > 1:
-        target = np.maximum(np.asarray(base.coeffs.interior_ranks), 2).tolist()
-    else:
-        target = []
+    target = np.maximum(base.coeffs.interior_ranks, 2).tolist()
     return euler_step(base, t_star - base.t, target, space, cfg.delta_contr)

@@ -45,12 +45,10 @@ class TensorTrain:
         float64 and validated on construction.
     ortho : tuple or None
         Optional orthogonality marker: ``("left", k)`` marks cores
-        ``0..k-1`` as having orthonormal column unfoldings, ``("right", k)``
-        marks cores ``k..d-1`` as having orthonormal row unfoldings.  Set by
-        ``tt_round`` (``("left", d-1)``) and ``right_orthogonalize``
-        (``("right", 1)``) and read by :func:`tt_norm`, which then takes the
-        norm of the one core that is not orthonormal.  It is trusted, not
-        checked; every other operation returns an unmarked result.
+        ``0..k-1`` as having orthonormal column unfoldings.  Only the
+        rounding sets it (``("left", d-1)``), and :func:`tt_norm` reads it to
+        take the norm of the last core alone.  It is trusted, not checked;
+        every other operation returns an unmarked result.
     """
 
     __slots__ = ("cores", "ortho")
@@ -245,22 +243,20 @@ def right_orthogonalize(a: TensorTrain) -> TensorTrain:
         k = q.shape[1]
         cores[i] = q.T.reshape(k, m, r1)
         cores[i - 1] = np.matmul(cores[i - 1], r.T)
-    return TensorTrain._trusted(cores, ortho=("right", 1))
+    return TensorTrain._trusted(cores)
 
 
 def tt_norm(a: TensorTrain) -> float:
     """Frobenius norm.
 
-    With all cores but one orthonormal (the ``ortho`` marker of a rounded
-    or right-orthogonalized TT) it is the norm of that core (Oseledets,
-    SIAM J. Sci. Comput. 33(5), 2011); otherwise a right-orthogonalization
-    sweep brings the TT to that form first.
+    With all cores but one orthonormal it is the norm of that core
+    (Oseledets, SIAM J. Sci. Comput. 33(5), 2011): the last core of a rounded
+    TT (its ``ortho`` marker), else the first core after a
+    right-orthogonalization sweep.
     """
     if a.ortho == ("left", a.d - 1):
         return float(np.linalg.norm(a.cores[-1]))
-    if a.ortho != ("right", 1):
-        a = right_orthogonalize(a)
-    return float(np.linalg.norm(a.cores[0]))
+    return float(np.linalg.norm(right_orthogonalize(a).cores[0]))
 
 
 def tt_centres(a: TensorTrain, kept=None):

@@ -4,11 +4,14 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tthjb.cli import main, parse_run_config, ConfigError, _potential_floor_check
+from tthjb.integrate import SolverConfig
+from tthjb.sample import SamplerConfig
 from tthjb.operators import PotentialSpec, build_potential_tt
 from tthjb.basis import PolySpace
 
@@ -76,14 +79,49 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert re.match(f"config error at {path}:", err) and err.count("\n") == 1
 
-    @pytest.mark.parametrize("key", ["power_max_iter", "power_stability_window"])
-    def test_unknown_solver_key_exits_1(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize("section,key", [
+        ("solver", "power_max_iter"), ("solver", "power_stability_window"),
+        ("solver", "power_perturb"), ("space", "dim"), ("potential", "builtin"),
+        ("sampler", "n_particle"), ("sampler", "lam"), ("$", "outputdir"),
+    ], ids=["power_max_iter", "power_stability_window", "power_perturb", "space",
+            "potential", "sampler", "sampler-field-name", "top-level"])
+    def test_unknown_solver_key_exits_1(self, tmp_path, capsys, section, key):
         cfg_path, cfg = gaussian_config(tmp_path, d=1)
-        cfg["solver"][key] = 6
+        (cfg if section == "$" else cfg[section])[key] = 6
         cfg_path.write_text(json.dumps(cfg))
         assert main(["solve", str(cfg_path)]) == 1
         err = capsys.readouterr().err
-        assert err == f"config error at solver.{key}: unknown key\n"
+        assert err == f"config error at {section}.{key}: unknown key\n"
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_bool_field_takes_only_json_bools(self, tmp_path, capsys, value):
+        cfg_path, cfg = gaussian_config(tmp_path, d=1)
+        cfg["sampler"]["clamp_to_domain"] = value
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["solve", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error at sampler.clamp_to_domain:")
+        assert err.count("\n") == 1
+        for flag in (False, True):
+            cfg["sampler"]["clamp_to_domain"] = flag
+            assert parse_run_config(cfg)[3].clamp_to_domain is flag
+
+    def test_defaults_come_from_the_dataclasses(self, tmp_path):
+        _, cfg = gaussian_config(tmp_path)
+        del cfg["sampler"]
+        cfg["solver"] = {"T": 2, "tau_max": 0.1, "seed": 3}
+        _, _, solver, sampler, _ = parse_run_config(cfg)
+        assert solver == SolverConfig(T=2.0, tau_max=0.1, seed=3)
+        assert sampler == SamplerConfig(seed=3)
+        cfg["sampler"] = {"lambda": 0.5, "seed": 4}
+        assert parse_run_config(cfg)[3] == SamplerConfig(lam=0.5, seed=4)
+
+    def test_readme_example_config_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Example config:", 1)[1].split("```json\n", 1)[1]
+        space, _, solver, sampler, out = parse_run_config(
+            json.loads(block.split("```", 1)[0]))
+        assert space.d == 6 and solver.T == 10.0 and sampler.n_particles == 2000
 
     def test_floor_check_rejects_constant(self):
         space = PolySpace([(-1, 1)] * 2, [2, 2])

@@ -210,7 +210,7 @@ class TestStepsizeRules:
         spec = PotentialSpec(terms=[PotentialTerm((0,), {(2,): 1.0, (3,): 1e-5}),
                                     PotentialTerm((1,), {(2,): 1.0})])
         phi = build_potential_tt(spec, space)
-        rel = _step_quantities(SolutionSnapshot(0.0, phi), space).rel_proj
+        _, rel = _step_quantities(SolutionSnapshot(0.0, phi), space)
         nl = dense_nonlin(tt_to_dense(phi), space)
         dropped = nl.copy()
         dropped[:4, :4] = 0.0
@@ -222,10 +222,10 @@ class TestStepsizeRules:
         _, space, phi = gaussian_setup(2, seed=2)
         cfg = SolverConfig(**CFG)
         snap = SolutionSnapshot(0.0, phi)
-        q = _step_quantities(snap, space)
+        rhs, _ = _step_quantities(snap, space)
         # ranks of phi itself as budget: rhs of a quadratic state stays
         # quadratic, so a generous budget makes the retraction exact.
-        tau = stepsize_retraction(snap, q.rhs, [9], 0.05, cfg)
+        tau = stepsize_retraction(snap, rhs, [9], 0.05, cfg)
         assert tau == 0.05
 
     def test_retraction_loose_tolerance_returns_cap(self):
@@ -233,9 +233,9 @@ class TestStepsizeRules:
         rng = np.random.default_rng(3)
         y = tt_random(space.mode_sizes, (1, 3, 1), rng)
         snap = SolutionSnapshot(0.0, y)
-        q = _step_quantities(snap, space)
+        rhs, _ = _step_quantities(snap, space)
         cfg = SolverConfig(T=1, tau_max=0.1, delta_rank=1.0)  # always satisfied
-        assert stepsize_retraction(snap, q.rhs, [1], 0.07, cfg) == 0.07
+        assert stepsize_retraction(snap, rhs, [1], 0.07, cfg) == 0.07
 
     def test_retraction_bisection_near_scan_optimum(self):
         # d=2 matrix case: compare against a dense scan of the retraction
@@ -244,13 +244,13 @@ class TestStepsizeRules:
         rng = np.random.default_rng(4)
         y = tt_random(space.mode_sizes, (1, 2, 1), rng)
         snap = SolutionSnapshot(0.0, y)
-        q = _step_quantities(snap, space)
+        rhs, _ = _step_quantities(snap, space)
         cfg = SolverConfig(T=1, tau_max=1.0, delta_rank=0.02)
-        got = stepsize_retraction(snap, q.rhs, [2], 1.0, cfg)
+        got = stepsize_retraction(snap, rhs, [2], 1.0, cfg)
 
         def rel_retr(tau):
             from tthjb.tt import tt_add_scaled, tt_round
-            ybar = tt_add_scaled(y, q.rhs, tau)
+            ybar = tt_add_scaled(y, rhs, tau)
             r = tt_round(ybar, max_ranks=[2])
             return tt_norm(tt_add_scaled(ybar, r, -1.0)) / tt_norm(ybar)
 
@@ -265,7 +265,7 @@ class TestStepsizeRules:
         space = PolySpace([(-2, 2)] * 2, [3, 3])
         y = tt_random(space.mode_sizes, (1, 2, 1), np.random.default_rng(4))
         snap = SolutionSnapshot(0.0, y)
-        q = _step_quantities(snap, space)
+        rhs, _ = _step_quantities(snap, space)
         cfg = SolverConfig(T=1, tau_max=1.0, delta_rank=0.02)
         taus = []
         rel_err = integrate._retraction_rel_err
@@ -275,7 +275,7 @@ class TestStepsizeRules:
             return rel_err(y, rhs, tau, target_ranks)
 
         monkeypatch.setattr(integrate, "_retraction_rel_err", recording)
-        got = stepsize_retraction(snap, q.rhs, [2], tau_init, cfg, tau_cap=1.0)
+        got = stepsize_retraction(snap, rhs, [2], tau_init, cfg, tau_cap=1.0)
         assert 1e-3 < got < 1.0  # the search doubled or halved, then bisected
         assert len(taus) == len(set(taus)), taus
 
@@ -284,11 +284,11 @@ class TestStepsizeRules:
         rng = np.random.default_rng(5)
         y = tt_random(space.mode_sizes, (1, 3, 3, 1), rng)
         snap = SolutionSnapshot(0.0, y)
-        q = _step_quantities(snap, space)
+        rhs, _ = _step_quantities(snap, space)
         cfg = SolverConfig(T=1, tau_max=0.1, delta_rank=1e-12)
         # y itself does not fit in rank 1, so no step can satisfy the bound.
         with pytest.raises(RankBudgetError):
-            stepsize_retraction(snap, q.rhs, [1, 1], 0.1, cfg)
+            stepsize_retraction(snap, rhs, [1, 1], 0.1, cfg)
 
 
 class TestEulerStep:
@@ -320,9 +320,9 @@ class TestEulerStep:
         space = PolySpace([(-2, 2)] * 3, [2] * 3)
         rng = np.random.default_rng(7)
         y = tt_random(space.mode_sizes, (1, 2, 2, 1), rng)
-        q = _step_quantities(SolutionSnapshot(0.0, y), space)
+        rhs, _ = _step_quantities(SolutionSnapshot(0.0, y), space)
         from tthjb.tt import tt_add_scaled
-        ybar = tt_add_scaled(y, q.rhs, 0.1)
+        ybar = tt_add_scaled(y, rhs, 0.1)
         r = np.asarray(y.interior_ranks)
         bound = 3 * r + 2 * r * r
         assert all(x <= c for x, c in zip(ybar.interior_ranks, bound))

@@ -416,7 +416,6 @@ class TestOrthogonalityMarker:
         rng = np.random.default_rng(28)
         a = random_tt(rng, (3, 4, 3), (3, 3))
         ortho = right_orthogonalize(a)
-        assert ortho.ortho == ("right", 1)
         for core in ortho.cores[1:]:
             r0, m, r1 = core.shape
             mat = core.reshape(r0, m * r1)
@@ -441,11 +440,6 @@ class TestOrthogonalityMarker:
             sweep = float(np.linalg.norm(right_orthogonalize(unmarked).cores[0]))
             assert tt_norm(r) == pytest.approx(sweep, rel=1e-14)
             assert tt_norm(r) == pytest.approx(np.linalg.norm(tt_to_dense(r)), rel=1e-13)
-
-    def test_norm_of_right_marked_is_first_core(self):
-        rng = np.random.default_rng(34)
-        r = right_orthogonalize(random_tt(rng, (3, 4, 3), (3, 3)))
-        assert tt_norm(r) == float(np.linalg.norm(r.cores[0]))
 
     def test_operations_drop_the_marker(self):
         from tthjb.integrate import SolutionSnapshot, degree_truncate
