@@ -22,8 +22,12 @@ Config schema::
 
 The ``solver`` and ``sampler`` keys are the fields of ``SolverConfig`` and
 ``SamplerConfig`` with their defaults (``lambda`` names ``lam``, and the
-sampler seed defaults to the solver seed).  A key that is not in the schema,
-in any section, is a config error.
+sampler seed defaults to the solver seed).  A ``terms`` entry is
+``{"coords", "poly": [{"exps", "coef"}, ...]}`` and a ``builtins`` entry
+``{"name", "coords", "params"}``, whose ``params`` are ``Q`` for
+``gaussian``, ``sigma`` for ``banana`` and none for the other built-ins.  A
+key that is not in the schema, in any section down to ``params``, is a
+config error, and so is a missing one.
 """
 
 from __future__ import annotations
@@ -43,8 +47,8 @@ import numpy as np
 from . import oracles
 from .basis import PolySpace
 from .integrate import SolverConfig, SolutionSnapshot, Trajectory, solve_hjb
-from .operators import PotentialSpec, apply_lin, apply_nonlin, build_potential_tt, \
-    covariance_error, poly_multiply, project_degree
+from .operators import BUILTIN_PARAMS, PotentialSpec, apply_lin, apply_nonlin, \
+    build_potential_tt, covariance_error, poly_multiply, project_degree
 from .sample import SamplerConfig, eval_v_batch, reverse_sample
 from .tt import TensorTrain, read_checkpoint, tt_centres, tt_from_dense, tt_random, \
     tt_to_dense, write_checkpoint
@@ -64,10 +68,38 @@ def _require(obj, key, path, typ=None):
     return val
 
 
-def _check_keys(obj: dict, known, path: str):
+def _check_keys(obj: dict, known, path: str, required=()):
+    """``obj`` must be an object with keys from ``known``, ``required``
+    among them."""
+    if not isinstance(obj, dict):
+        raise ConfigError(path, "expected an object")
     for key in obj:
         if key not in known:
             raise ConfigError(f"{path}.{key}", "unknown key")
+    for key in required:
+        _require(obj, key, path)
+
+
+def _check_potential_keys(pot: dict):
+    """Key checks inside the potential's terms and built-ins, down to each
+    built-in's ``params`` (``PotentialSpec.from_json`` reads the values)."""
+    for section in ("terms", "builtins"):
+        if not isinstance(pot.get(section, []), list):
+            raise ConfigError(f"potential.{section}", "expected a list")
+    for i, term in enumerate(pot.get("terms", [])):
+        path = f"potential.terms[{i}]"
+        _check_keys(term, ("coords", "poly"), path, required=("coords",))
+        for j, entry in enumerate(_require(term, "poly", path, list)):
+            _check_keys(entry, ("exps", "coef"), f"{path}.poly[{j}]",
+                        required=("exps", "coef"))
+    for i, builtin in enumerate(pot.get("builtins", [])):
+        path = f"potential.builtins[{i}]"
+        _check_keys(builtin, ("name", "coords", "params"), path, required=("coords",))
+        name = _require(builtin, "name", path, str)
+        known = BUILTIN_PARAMS.get(name)
+        if known is None:
+            raise ConfigError(f"{path}.name", f"unknown builtin potential {name!r}")
+        _check_keys(builtin.get("params", {}), known, f"{path}.params", required=known)
 
 
 def _cast(value, typ, path):
@@ -88,8 +120,6 @@ def _read_dataclass(cls, obj, path: str, renames: dict, **fallbacks):
     field (named as in ``renames`` where given), cast to the field's type.
     A field without a default is required; any other missing field takes
     its value from ``fallbacks``, else its default."""
-    if not isinstance(obj, dict):
-        raise ConfigError(path, "expected an object")
     types = typing.get_type_hints(cls)
     fields = {renames.get(f.name, f.name): f for f in dataclasses.fields(cls)}
     _check_keys(obj, fields, path)
@@ -130,6 +160,7 @@ def parse_run_config(obj: dict):
 
     pot = _require(obj, "potential", "$", dict)
     _check_keys(pot, ("terms", "builtins"), "potential")
+    _check_potential_keys(pot)
     try:
         potential = PotentialSpec.from_json(pot)
     except (KeyError, ValueError, TypeError) as exc:

@@ -19,8 +19,9 @@ import numpy as np
 from .basis import PolySpace
 from .operators import (apply_lin, apply_nonlin, apply_stiffness, covariance_error,
                         prepare_stiffness, project_degree, projection_norms)
-from .tt import (TensorTrain, check_finite, tt_add_scaled, tt_centres, tt_inner, tt_norm,
-                 tt_random, tt_round, tt_round_sketched, tt_round_with_error, tt_scale)
+from .tt import (TensorTrain, check_finite, right_orthogonalize, tt_add_scaled, tt_centres,
+                 tt_inner, tt_norm, tt_random, tt_round, tt_round_sketched,
+                 tt_round_with_error, tt_scale)
 
 # Below this magnitude the power-iteration estimate is treated as an exactly
 # stationary sector (the stiffness bound then does not constrain the step).
@@ -290,13 +291,17 @@ def stepsize_projection(y: SolutionSnapshot, space: PolySpace,
 
 
 def _retraction_rel_err(y: TensorTrain, rhs: TensorTrain, tau: float,
-                        target_ranks) -> float:
-    return tt_round_with_error(tt_add_scaled(y, rhs, tau), max_ranks=target_ranks)[1]
+                        target_ranks) -> tuple[float, TensorTrain]:
+    """Relative error of retracting ``y + tau rhs`` to ``target_ranks``, and
+    that sum right-orthogonalized (a rounding of it skips its own sweep)."""
+    ybar = right_orthogonalize(tt_add_scaled(y, rhs, tau))
+    return tt_round_with_error(ybar, max_ranks=target_ranks)[1], ybar
 
 
 def stepsize_retraction(y: SolutionSnapshot, rhs: TensorTrain, target_ranks,
                         tau_init: float, cfg: SolverConfig,
-                        tau_cap: float | None = None) -> float:
+                        tau_cap: float | None = None,
+                        last: dict | None = None) -> float:
     """Largest step in (0, tau_cap] whose rank retraction stays below
     delta_rank in relative Frobenius norm.
 
@@ -305,15 +310,21 @@ def stepsize_retraction(y: SolutionSnapshot, rhs: TensorTrain, target_ranks,
     satisfied (or doubles up to the cap while satisfied), then bisects
     between the best satisfying step and the nearest failing one to relative
     width 1e-2 (at most 20 bisections) and returns the best satisfying value.
+    A ``last`` dict receives ``{tau: ybar}`` for the last step evaluated,
+    ``ybar = y + tau rhs`` right-orthogonalized.
     """
     if tau_init <= 0:
         raise ValueError("tau_init must be positive")
     if tau_cap is None:
         tau_cap = tau_init
     tau_init = min(tau_init, tau_cap)
+    if last is None:
+        last = {}
 
     def ok(tau):
-        return _retraction_rel_err(y.coeffs, rhs, tau, target_ranks) <= cfg.delta_rank
+        last.clear()  # drop the previous sum before forming the next
+        err, last[tau] = _retraction_rel_err(y.coeffs, rhs, tau, target_ranks)
+        return err <= cfg.delta_rank
 
     if ok(tau_cap):
         return tau_cap
@@ -348,8 +359,11 @@ def stepsize_retraction(y: SolutionSnapshot, rhs: TensorTrain, target_ranks,
 # ----------------------------------------------------------------------
 
 def _euler_from_rhs(y: SolutionSnapshot, rhs: TensorTrain, tau: float,
-                    target_ranks, delta_contr: float) -> SolutionSnapshot:
-    ybar = tt_add_scaled(y.coeffs, rhs, tau)
+                    target_ranks, delta_contr: float,
+                    ybar: TensorTrain | None = None) -> SolutionSnapshot:
+    """Round ``y + tau rhs``; ``ybar`` is that sum if already formed."""
+    if ybar is None:
+        ybar = tt_add_scaled(y.coeffs, rhs, tau)
     rounded = tt_round(ybar, tol=delta_contr, max_ranks=target_ranks)
     return SolutionSnapshot(t=y.t + tau, coeffs=rounded)
 
@@ -452,8 +466,9 @@ def solve_hjb(phi: TensorTrain, space: PolySpace, cfg: SolverConfig) -> Trajecto
             tau_cap = min(cfg.tau_max, tau_lambda, tau_proj, remaining)
             tau_init = min(tau_prev if tau_prev is not None else cfg.tau_max,
                            tau_cap)
+            last = {}
             tau_rank = stepsize_retraction(snap, rhs, target, tau_init, cfg,
-                                           tau_cap=tau_cap)
+                                           tau_cap=tau_cap, last=last)
             bounds = {"tau_max": cfg.tau_max, "stiffness": tau_lambda,
                       "projection": tau_proj, "horizon": remaining}
             binding = "rank" if tau_rank < tau_cap else min(bounds, key=bounds.get)
@@ -462,7 +477,9 @@ def solve_hjb(phi: TensorTrain, space: PolySpace, cfg: SolverConfig) -> Trajecto
             # over from reaching the horizon does not
             if tau < 1e-12 * cfg.T and tau < remaining:
                 raise StepUnderflowError(f"step size underflow at t={t}: tau={tau}")
-            new = _euler_from_rhs(snap, rhs, tau, target, cfg.delta_contr)
+            # the search usually ends on the accepted step: reuse its sum
+            new = _euler_from_rhs(snap, rhs, tau, target, cfg.delta_contr,
+                                  last.pop(tau, None))
             new = degree_truncate(new, cfg.delta_contr, space)
             new = rank_adapt(new, r0, cfg.delta_contr)
             if tau == remaining:

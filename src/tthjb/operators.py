@@ -150,6 +150,11 @@ def iso_tail_monomials(coords) -> list[tuple[dict[int, int], float]]:
     return [({c: 2}, 1.0) for c in coords]
 
 
+# The ``params`` keys each built-in potential reads, all required.
+BUILTIN_PARAMS = {"gaussian": ("Q",), "banana": ("sigma",), "doublewell": (),
+                  "sextic": (), "iso_tail": ()}
+
+
 def _expand_builtin(name, coords, params):
     if name == "gaussian":
         return gaussian_monomials(np.asarray(params["Q"]), coords)

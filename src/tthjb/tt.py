@@ -13,6 +13,16 @@ operations here are trusted and skip both checks and copies, so long-running
 callers check finiteness once per step with :func:`check_finite`.  Dense
 tensors are plain float64 ndarrays (row-major) and are only meant for small
 cross-checking work (d <= 5).
+
+Every QR and SVD here goes through :func:`_qr`, :func:`_qr_q`, :func:`_qr_r`
+and :func:`_svd`.  They call the LAPACK gufuncs of
+``numpy.linalg._umath_linalg`` that ``np.linalg.qr`` and ``np.linalg.svd``
+call themselves (``qr_r_raw``/``qr_reduced``, ``svd_s``), so results are
+bit for bit those of the public functions.  The cores of a rounding are
+blocks of a few dozen entries, on which the public functions' per-call
+dispatch, error-state contexts and ``np.triu`` cost several times the
+factorization itself.  The gufunc names are private to numpy; the helpers
+are tested against numpy 2.4, the floor in ``pyproject.toml``.
 """
 
 from __future__ import annotations
@@ -20,12 +30,61 @@ from __future__ import annotations
 import struct
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 # Refuse dense materialisation beyond this many entries.
 DENSE_GUARD = 10**7
 
 _TTCK_MAGIC = b"TTCK"
 _TTCK_VERSION = 1
+
+
+def _householder(a: np.ndarray):
+    """Householder QR of a float64 matrix in LAPACK's compact form: a copy
+    of ``a`` with R on and above its diagonal, and the reflector scales."""
+    # qr_r_raw overwrites its operand; C order makes R's rows contiguous,
+    # laid out as np.triu lays them out
+    work = a.astype(np.float64, order="C")
+    return work, _umath_linalg.qr_r_raw(work, signature="d->d")
+
+
+def _upper(work: np.ndarray) -> np.ndarray:
+    """R of a compact QR: its first ``min(m, n)`` rows, zeroed below the
+    diagonal in place."""
+    r = work[:min(work.shape)]
+    for j in range(1, r.shape[0]):
+        r[j, :j] = 0.0
+    return r
+
+
+def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced QR ``(q, r)``: bit for bit ``np.linalg.qr(a)``."""
+    work, tau = _householder(a)
+    return _umath_linalg.qr_reduced(work, tau, signature="dd->d"), _upper(work)
+
+
+def _qr_q(a: np.ndarray) -> np.ndarray:
+    """Q alone: bit for bit ``np.linalg.qr(a)[0]``."""
+    work, tau = _householder(a)
+    return _umath_linalg.qr_reduced(work, tau, signature="dd->d")
+
+
+def _qr_r(a: np.ndarray) -> np.ndarray:
+    """R alone: bit for bit ``np.linalg.qr(a, mode="r")``."""
+    return _upper(_householder(a)[0])
+
+
+def _svd_failed(err, flag):
+    raise LinAlgError("SVD did not converge")
+
+
+@np.errstate(call=_svd_failed, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
+def _svd(a: np.ndarray):
+    """Thin SVD ``(u, s, vt)``: bit for bit ``np.linalg.svd(a,
+    full_matrices=False)``.  Non-convergence (a NaN input, say) raises
+    ``LinAlgError`` and warns nothing, as there."""
+    return _umath_linalg.svd_s(a, signature="d->ddd")
 
 
 def mode_apply(mat: np.ndarray, core: np.ndarray) -> np.ndarray:
@@ -45,10 +104,13 @@ class TensorTrain:
         float64 and validated on construction.
     ortho : tuple or None
         Optional orthogonality marker: ``("left", k)`` marks cores
-        ``0..k-1`` as having orthonormal column unfoldings.  Only the
-        rounding sets it (``("left", d-1)``), and :func:`tt_norm` reads it to
-        take the norm of the last core alone.  It is trusted, not checked;
-        every other operation returns an unmarked result.
+        ``0..k-1`` as having orthonormal column unfoldings, ``("right", k)``
+        cores ``k..d-1`` as having orthonormal row unfoldings.  The rounding
+        sets ``("left", d-1)``, which :func:`tt_norm` reads to take the norm
+        of the last core alone; :func:`right_orthogonalize` sets
+        ``("right", 1)``, on which the rounding skips its own sweep.  It is
+        trusted, not checked; every other operation returns an unmarked
+        result.
     """
 
     __slots__ = ("cores", "ortho")
@@ -170,7 +232,7 @@ def tt_from_dense(t: np.ndarray, tol: float = 0.0) -> TensorTrain:
     r_left = 1
     rest = t.reshape(r_left * t.shape[0], -1)
     for i in range(d - 1):
-        u, s, vt = np.linalg.svd(rest, full_matrices=False)
+        u, s, vt = _svd(rest)
         u, vt = _fix_svd_signs(u, vt)
         k = _truncation_rank(s, thresh, s.size)
         cores.append(u[:, :k].reshape(r_left, t.shape[i], k))
@@ -230,7 +292,8 @@ def tt_inner(a: TensorTrain, b: TensorTrain) -> float:
 
 
 def right_orthogonalize(a: TensorTrain) -> TensorTrain:
-    """Sweep right-to-left so cores 2..d have orthonormal rows.
+    """Sweep right-to-left so cores 2..d have orthonormal rows (marked
+    ``("right", 1)``).
 
     Afterwards the Frobenius norm of the tensor equals the Frobenius norm
     of the first core.
@@ -239,11 +302,11 @@ def right_orthogonalize(a: TensorTrain) -> TensorTrain:
     for i in range(len(cores) - 1, 0, -1):
         r0, m, r1 = cores[i].shape
         mat = cores[i].reshape(r0, m * r1)
-        q, r = np.linalg.qr(mat.T)  # mat = r.T @ q.T with q.T row-orthonormal
+        q, r = _qr(mat.T)  # mat = r.T @ q.T with q.T row-orthonormal
         k = q.shape[1]
         cores[i] = q.T.reshape(k, m, r1)
         cores[i - 1] = np.matmul(cores[i - 1], r.T)
-    return TensorTrain._trusted(cores)
+    return TensorTrain._trusted(cores, ortho=("right", 1))
 
 
 def tt_norm(a: TensorTrain) -> float:
@@ -270,7 +333,7 @@ def tt_centres(a: TensorTrain, kept=None):
         centre = np.tensordot(left, core, axes=(1, 0))
         yield centre
         rows = centre if kept is None else centre[:, :kept[k]]
-        left = np.linalg.qr(rows.reshape(-1, rows.shape[2]), mode="r")
+        left = _qr_r(rows.reshape(-1, rows.shape[2]))
 
 
 def _fix_svd_signs(u, vt):
@@ -280,9 +343,10 @@ def _fix_svd_signs(u, vt):
     if not lead.all():  # some column starts with zeros: find its first nonzero
         first = np.argmax(u != 0, axis=0)  # row 0 for an all-zero column
         lead = u[first, np.arange(u.shape[1])]
-    sign = np.where(lead < 0, -1.0, 1.0)
-    u *= sign
-    vt *= sign[:, None]
+    neg = lead < 0
+    if neg.any():
+        np.negative(u, out=u, where=neg)
+        np.negative(vt, out=vt, where=neg[:, None])
     return u, vt
 
 
@@ -309,8 +373,8 @@ def tt_round_with_error(a: TensorTrain, tol: float = 0.0,
     """SVD-based recompression (retraction onto lower-rank manifolds) and
     its relative Frobenius error ``|a - rounded| / |a|``.
 
-    Right-to-left orthogonalization followed by a left-to-right SVD
-    truncation sweep.  In ``tol`` mode each bond discards a singular-value
+    Right-to-left orthogonalization (skipped on an input marked
+    ``("right", 1)``) followed by a left-to-right SVD truncation sweep.  In ``tol`` mode each bond discards a singular-value
     tail of at most ``tol * ||a||_F / sqrt(d - 1)``, which bounds the total
     relative error by ``tol``.  ``max_ranks`` caps the d-1 interior ranks
     componentwise.  Ranks never increase; a zero tensor is returned in the
@@ -330,7 +394,7 @@ def tt_round_with_error(a: TensorTrain, tol: float = 0.0,
             raise ValueError("max_ranks must list the d-1 interior ranks")
         if any(r < 1 for r in caps):
             raise ValueError("max_ranks must be >= 1")
-    ortho = right_orthogonalize(a)
+    ortho = a if a.ortho == ("right", 1) else right_orthogonalize(a)
     norm = float(np.linalg.norm(ortho.cores[0]))
     if norm == 0.0:
         return tt_zero(a.mode_sizes), 0.0
@@ -339,7 +403,7 @@ def tt_round_with_error(a: TensorTrain, tol: float = 0.0,
     discarded_sq = 0.0
     for i in range(d - 1):
         r0, m, r1 = cores[i].shape
-        u, s, vt = np.linalg.svd(cores[i].reshape(r0 * m, r1), full_matrices=False)
+        u, s, vt = _svd(cores[i].reshape(r0 * m, r1))
         u, vt = _fix_svd_signs(u, vt)
         k = _truncation_rank(s, thresh, caps[i])
         discarded_sq += float(np.sum(s[k:] ** 2))
@@ -378,7 +442,7 @@ def tt_round_sketched(a: TensorTrain, sketch: TensorTrain, max_ranks=None) -> Te
     for i in range(d - 1):
         r0, m, r1 = cores[i].shape
         mat = cores[i].reshape(r0 * m, r1)
-        q, _ = np.linalg.qr(mat @ envs[d - 1 - i])
+        q = _qr_q(mat @ envs[d - 1 - i])
         cores[i] = q.reshape(r0, m, q.shape[1])
         nxt = cores[i + 1]
         cores[i + 1] = ((q.T @ mat) @ nxt.reshape(r1, -1)).reshape(

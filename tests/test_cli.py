@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import tarfile
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ from tthjb.integrate import SolverConfig
 from tthjb.sample import SamplerConfig
 from tthjb.operators import PotentialSpec, build_potential_tt
 from tthjb.basis import PolySpace
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def gaussian_config(tmp_path, d=2, T=1.5, seed=7, out="run"):
@@ -31,6 +34,13 @@ def gaussian_config(tmp_path, d=2, T=1.5, seed=7, out="run"):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg, indent=1))
     return path, cfg
+
+
+def readme_config():
+    """The README's d=6 mixed example config."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("Example config:", 1)[1].split("```json\n", 1)[1]
+    return json.loads(block.split("```", 1)[0])
 
 
 class TestConfigParsing:
@@ -93,6 +103,65 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err == f"config error at {section}.{key}: unknown key\n"
 
+    @pytest.mark.parametrize("edit,path,message", [
+        (lambda b: b.update(param=b.pop("params")), "builtins[0].param", "unknown key"),
+        (lambda b: b["params"].update(sigmaa=b["params"].pop("sigma")),
+         "builtins[0].params.sigmaa", "unknown key"),
+        (lambda b: b["params"].pop("sigma"), "builtins[0].params.sigma",
+         "missing required field"),
+        (lambda b: b.pop("params"), "builtins[0].params.sigma", "missing required field"),
+        (lambda b: b.pop("coords"), "builtins[0].coords", "missing required field"),
+        (lambda b: b.update(name="bananas"), "builtins[0].name",
+         "unknown builtin potential 'bananas'"),
+    ], ids=["param", "sigmaa", "no-sigma", "no-params", "no-coords", "unknown-name"])
+    def test_bad_builtin_key_exits_1(self, tmp_path, capsys, edit, path, message):
+        cfg = readme_config()
+        edit(cfg["potential"]["builtins"][0])
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["solve", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"config error at potential.{path}: {message}\n"
+
+    @pytest.mark.parametrize("name,params,key", [
+        ("gaussian", {"Q": [[1.0]], "sigma": [[1.0]]}, "sigma"),
+        ("doublewell", {"Q": [[1.0]]}, "Q"),
+        ("sextic", {"scale": 1.0}, "scale"),
+        ("iso_tail", {"a": 1}, "a"),
+    ])
+    def test_builtin_params_are_checked_per_name(self, tmp_path, name, params, key):
+        _, cfg = gaussian_config(tmp_path, d=1)
+        cfg["potential"] = {"builtins": [{"name": name, "coords": [0], "params": params}]}
+        with pytest.raises(ConfigError, match=re.escape(
+                f"potential.builtins[0].params.{key}: unknown key")):
+            parse_run_config(cfg)
+
+    @pytest.mark.parametrize("term,path,message", [
+        ({"coords": [0], "poly": [{"exps": [2], "coef": 1.0, "coeff": 2.0}]},
+         "terms[0].poly[0].coeff", "unknown key"),
+        ({"coords": [0], "poly": [{"exps": [2]}]}, "terms[0].poly[0].coef",
+         "missing required field"),
+        ({"coords": [0], "poly": [{"exps": [2], "coef": 1.0}], "weight": 2},
+         "terms[0].weight", "unknown key"),
+        ({"poly": []}, "terms[0].coords", "missing required field"),
+        ({"coords": [0], "poly": {"exps": [2], "coef": 1.0}}, "terms[0].poly",
+         "expected <class 'list'>"),
+        ([0, 1], "terms[0]", "expected an object"),
+    ], ids=["coeff", "no-coef", "weight", "no-coords", "poly-object", "term-list"])
+    def test_bad_term_key_is_a_config_error(self, tmp_path, term, path, message):
+        _, cfg = gaussian_config(tmp_path, d=1)
+        cfg["potential"] = {"terms": [term]}
+        with pytest.raises(ConfigError, match=re.escape(f"potential.{path}: {message}")):
+            parse_run_config(cfg)
+
+    def test_benchmark_configs_pass_the_key_checks(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import workloads
+        for name in ("mixed6-solve", "gauss10-solve"):
+            parse_run_config(workloads.WORKLOADS[name].config())
+        with tarfile.open(workloads.TRAJECTORY) as tar:
+            member = next(m for m in tar if m.name.endswith("manifest.json"))
+            parse_run_config(json.load(tar.extractfile(member))["config"])
+
     @pytest.mark.parametrize("value", ["false", 0, None])
     def test_bool_field_takes_only_json_bools(self, tmp_path, capsys, value):
         cfg_path, cfg = gaussian_config(tmp_path, d=1)
@@ -117,10 +186,7 @@ class TestConfigParsing:
         assert parse_run_config(cfg)[3] == SamplerConfig(lam=0.5, seed=4)
 
     def test_readme_example_config_parses(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        block = readme.split("Example config:", 1)[1].split("```json\n", 1)[1]
-        space, _, solver, sampler, out = parse_run_config(
-            json.loads(block.split("```", 1)[0]))
+        space, _, solver, sampler, out = parse_run_config(readme_config())
         assert space.d == 6 and solver.T == 10.0 and sampler.n_particles == 2000
 
     def test_floor_check_rejects_constant(self):

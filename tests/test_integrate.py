@@ -17,7 +17,8 @@ from tthjb.operators import (PotentialSpec, PotentialTerm, apply_stiffness,
                              build_potential_tt, covariance_error, extract_quadratic,
                              prepare_stiffness)
 from tthjb.oracles import dense_nonlin, gaussian_eigen_bound, riccati_reference
-from tthjb.tt import tt_centres, tt_from_dense, tt_norm, tt_random, tt_to_dense
+from tthjb.tt import (right_orthogonalize, tt_add_scaled, tt_centres, tt_from_dense,
+                      tt_norm, tt_random, tt_to_dense)
 
 
 def gaussian_setup(d, seed, intervals=(-5.0, 5.0)):
@@ -278,6 +279,42 @@ class TestStepsizeRules:
         got = stepsize_retraction(snap, rhs, [2], tau_init, cfg, tau_cap=1.0)
         assert 1e-3 < got < 1.0  # the search doubled or halved, then bisected
         assert len(taus) == len(set(taus)), taus
+
+    @pytest.mark.parametrize("tau_init", [1e-4, 1.0], ids=["doubling", "halving"])
+    def test_retraction_hands_over_its_last_sum(self, tau_init):
+        space = PolySpace([(-2, 2)] * 3, [3, 3, 3])
+        y = tt_random(space.mode_sizes, (1, 2, 2, 1), np.random.default_rng(6))
+        snap = SolutionSnapshot(0.0, y)
+        rhs, _ = _step_quantities(snap, space)
+        cfg = SolverConfig(T=1, tau_max=1.0, delta_rank=0.02)
+        last = {}
+        tau = stepsize_retraction(snap, rhs, [2, 2], tau_init, cfg, tau_cap=1.0,
+                                  last=last)
+        ((tau_last, ybar),) = last.items()
+        assert ybar.ortho == ("right", 1)
+        want = right_orthogonalize(tt_add_scaled(y, rhs, tau_last))
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(ybar.cores, want.cores))
+        # a rounding of the handed-over sum is the rounding of the plain sum
+        reused = integrate._euler_from_rhs(snap, rhs, tau_last, [2, 2], 1e-8, ybar)
+        plain = integrate._euler_from_rhs(snap, rhs, tau_last, [2, 2], 1e-8)
+        assert reused.t == plain.t
+        assert all(g.tobytes() == w.tobytes()
+                   for g, w in zip(reused.coeffs.cores, plain.coeffs.cores))
+        assert 0.0 < tau <= 1.0
+
+    def test_solve_rounds_the_retraction_sum_it_accepted(self, monkeypatch):
+        _, space, phi = gaussian_setup(2, seed=3)
+        handed = []
+        euler = integrate._euler_from_rhs
+
+        def recording(y, rhs, tau, target_ranks, delta_contr, ybar=None):
+            handed.append(ybar is not None)
+            return euler(y, rhs, tau, target_ranks, delta_contr, ybar)
+
+        monkeypatch.setattr(integrate, "_euler_from_rhs", recording)
+        traj = solve_hjb(phi, space, SolverConfig(T=0.05, tau_max=0.01, seed=1))
+        assert traj.error is None
+        assert handed == [True] * len(traj.diagnostics)
 
     def test_retraction_rank_budget_failure(self):
         space = PolySpace([(-2, 2)] * 3, [3] * 3)

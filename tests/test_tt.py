@@ -1,10 +1,13 @@
 """Tensor-train container and algebra, cross-checked against dense numpy."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tthjb.tt import (TensorTrain, _fix_svd_signs, laplace_like_sum, mode_apply,
+from tthjb.tt import (TensorTrain, _fix_svd_signs, _qr, _qr_q, _qr_r, _svd,
+                      laplace_like_sum, mode_apply,
                       read_checkpoint, right_orthogonalize, tt_add_scaled,
                       tt_contract_mode_vectors, tt_from_dense, tt_inner,
                       tt_norm, tt_random, tt_round, tt_round_sketched,
@@ -416,6 +419,7 @@ class TestOrthogonalityMarker:
         rng = np.random.default_rng(28)
         a = random_tt(rng, (3, 4, 3), (3, 3))
         ortho = right_orthogonalize(a)
+        assert ortho.ortho == ("right", 1)
         for core in ortho.cores[1:]:
             r0, m, r1 = core.shape
             mat = core.reshape(r0, m * r1)
@@ -462,6 +466,22 @@ class TestOrthogonalityMarker:
         assert cut.mode_sizes != small.mode_sizes
         assert cut.ortho is None
 
+    def test_round_skips_the_sweep_on_a_right_marked_input(self, monkeypatch):
+        import tthjb.tt as tt
+        rng = np.random.default_rng(37)
+        a = random_tt(rng, (3, 4, 5, 3), (3, 4, 3))
+        ortho = right_orthogonalize(a)
+        want = tt_round_with_error(a, tol=1e-3, max_ranks=[2, 3, 2])
+
+        def no_sweep(_):
+            raise AssertionError("swept a right-orthogonal input again")
+
+        monkeypatch.setattr(tt, "right_orthogonalize", no_sweep)
+        got = tt_round_with_error(ortho, tol=1e-3, max_ranks=[2, 3, 2])
+        assert got[1] == want[1]
+        for g, w in zip(got[0].cores, want[0].cores):
+            assert g.tobytes() == w.tobytes()
+
     def test_copy_keeps_the_marker(self):
         rng = np.random.default_rng(36)
         r = tt_round(random_tt(rng, (3, 4, 3), (3, 3)), tol=1e-12)
@@ -504,3 +524,66 @@ def test_svd_sign_fix_without_leading_zeros_matches_loop_bitwise(shape):
     ref_u, ref_vt = _fix_svd_signs_loop(u.copy(), vt.copy())
     assert got_u.tobytes() == ref_u.tobytes()
     assert got_vt.tobytes() == ref_vt.tobytes()
+
+
+# The LAPACK helpers call the gufuncs behind np.linalg.qr/svd directly; they
+# must give the public functions' results bit for bit, in the same layout.
+def _blocks():
+    rng = np.random.default_rng(41)
+    deficient = rng.standard_normal((12, 2)) @ rng.standard_normal((2, 5))
+    blocks = {"tall": rng.standard_normal((14, 2)), "wide": rng.standard_normal((5, 9)),
+              "square": rng.standard_normal((7, 7)), "rank-2": deficient,
+              "zero": np.zeros((4, 3)), "gauss10": rng.standard_normal((357, 119))}
+    for name in ("tall", "wide", "rank-2", "gauss10"):
+        blocks[name + "-T"] = np.ascontiguousarray(blocks[name].T).T  # F order
+    return blocks
+
+
+def _same(got, want):
+    assert got.shape == want.shape and got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", list(_blocks()))
+def test_lapack_helpers_match_numpy_bitwise(name):
+    a = _blocks()[name]
+    before = a.copy()
+    q, r = np.linalg.qr(a)
+    got_q, got_r = _qr(a)
+    _same(got_q, q)
+    _same(got_r, r)
+    _same(_qr_q(a), q)
+    _same(_qr_r(a), np.linalg.qr(a, mode="r"))
+    for got, want in zip(_svd(a), np.linalg.svd(a, full_matrices=False)):
+        _same(got, want)
+    assert a.tobytes() == before.tobytes()  # the input is left alone
+
+
+def test_svd_of_nan_block_raises_without_warning():
+    block = np.full((6, 3), np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            _svd(block)
+        a = TensorTrain._trusted([np.full((1, 3, 2), np.nan), np.ones((2, 3, 1))])
+        with pytest.raises(ValueError, match="SVD did not converge"):
+            tt_round(a, max_ranks=[1])
+
+
+def test_solve_calls_no_numpy_linalg_wrapper(monkeypatch):
+    from tthjb.basis import PolySpace
+    from tthjb.integrate import SolverConfig, solve_hjb
+    from tthjb.operators import PotentialSpec, build_potential_tt
+
+    def wrapper_called(*args, **kwargs):
+        raise AssertionError("np.linalg.qr/svd called on the solve path")
+
+    space = PolySpace([(-3.0, 3.0)] * 3, [4, 4, 2])
+    spec = PotentialSpec(builtins=[
+        {"name": "doublewell", "coords": (0, 1), "params": {}},
+        {"name": "iso_tail", "coords": (2,), "params": {}}])
+    phi = build_potential_tt(spec, space)
+    monkeypatch.setattr(np.linalg, "qr", wrapper_called)
+    monkeypatch.setattr(np.linalg, "svd", wrapper_called)
+    traj = solve_hjb(phi, space, SolverConfig(T=0.02, tau_max=0.01, seed=3))
+    assert traj.error is None and traj.snapshots[-1].t == 0.02
