@@ -24,10 +24,12 @@ The ``solver`` and ``sampler`` keys are the fields of ``SolverConfig`` and
 ``SamplerConfig`` with their defaults (``lambda`` names ``lam``, and the
 sampler seed defaults to the solver seed).  A ``terms`` entry is
 ``{"coords", "poly": [{"exps", "coef"}, ...]}`` and a ``builtins`` entry
-``{"name", "coords", "params"}``, whose ``params`` are ``Q`` for
-``gaussian``, ``sigma`` for ``banana`` and none for the other built-ins.  A
-key that is not in the schema, in any section down to ``params``, is a
-config error, and so is a missing one.
+``{"name", "coords", "params"}``: ``gaussian`` takes n coords and an n x n
+``Q``, ``banana`` 2 coords and a 2 x 2 ``sigma``, ``doublewell`` and
+``sextic`` 2 coords, ``iso_tail`` any.  Coords (distinct per entry) and exps
+are integers >= 0.  The number rule: an integer field takes a JSON number
+with no fractional part, any other number a finite one, never a bool or a
+string.  Unknown and missing keys, down to ``params``, are config errors.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ import numpy as np
 from . import oracles
 from .basis import PolySpace
 from .integrate import SolverConfig, SolutionSnapshot, Trajectory, solve_hjb
-from .operators import BUILTIN_PARAMS, PotentialSpec, apply_lin, apply_nonlin, \
-    build_potential_tt, covariance_error, poly_multiply, project_degree
+from .operators import BUILTINS, PotentialSpec, PotentialTerm, apply_lin, \
+    apply_nonlin, build_potential_tt, covariance_error, poly_multiply, project_degree
 from .sample import SamplerConfig, eval_v_batch, reverse_sample
 from .tt import TensorTrain, read_checkpoint, tt_centres, tt_from_dense, tt_random, \
     tt_to_dense, write_checkpoint
@@ -68,51 +70,83 @@ def _require(obj, key, path, typ=None):
     return val
 
 
-def _check_keys(obj: dict, known, path: str, required=()):
-    """``obj`` must be an object with keys from ``known``, ``required``
-    among them."""
+def _check_keys(obj: dict, known, path: str):
+    """``obj`` must be an object with keys from ``known``; ``_require``
+    reads the required ones."""
     if not isinstance(obj, dict):
         raise ConfigError(path, "expected an object")
     for key in obj:
         if key not in known:
             raise ConfigError(f"{path}.{key}", "unknown key")
-    for key in required:
-        _require(obj, key, path)
 
 
-def _check_potential_keys(pot: dict):
-    """Key checks inside the potential's terms and built-ins, down to each
-    built-in's ``params`` (``PotentialSpec.from_json`` reads the values)."""
-    for section in ("terms", "builtins"):
-        if not isinstance(pot.get(section, []), list):
-            raise ConfigError(f"potential.{section}", "expected a list")
-    for i, term in enumerate(pot.get("terms", [])):
-        path = f"potential.terms[{i}]"
-        _check_keys(term, ("coords", "poly"), path, required=("coords",))
-        for j, entry in enumerate(_require(term, "poly", path, list)):
-            _check_keys(entry, ("exps", "coef"), f"{path}.poly[{j}]",
-                        required=("exps", "coef"))
-    for i, builtin in enumerate(pot.get("builtins", [])):
-        path = f"potential.builtins[{i}]"
-        _check_keys(builtin, ("name", "coords", "params"), path, required=("coords",))
-        name = _require(builtin, "name", path, str)
-        known = BUILTIN_PARAMS.get(name)
-        if known is None:
-            raise ConfigError(f"{path}.name", f"unknown builtin potential {name!r}")
-        _check_keys(builtin.get("params", {}), known, f"{path}.params", required=known)
+_KINDS = {bool: "true or false", int: "an integer", float: "a finite number"}
 
 
 def _cast(value, typ, path):
-    """``value`` as ``typ``: ints and floats are converted, a bool must be
-    JSON ``true``/``false``, and other types pass unchanged."""
-    if typ is bool and not isinstance(value, bool):
-        raise ConfigError(path, f"expected true or false, got {value!r}")
-    if typ not in (int, float):
+    """``value`` as ``typ`` by the number rule above (a bool field takes only
+    ``true``/``false``); other types pass unchanged."""
+    if typ not in _KINDS:
         return value
-    try:
-        return typ(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, f"expected {typ.__name__}, got {value!r}") from exc
+    # the bound rejects inf, nan and integers beyond the float range
+    if not (isinstance(value, bool) if typ is bool else type(value) in (int, float)
+            and abs(value) <= sys.float_info.max and (typ is float or value % 1 == 0)):
+        raise ConfigError(path, f"expected {_KINDS[typ]}, got {value!r}")
+    return typ(value)
+
+
+def _floats(value, shape: tuple, path: str):
+    """Nested lists of finite floats of the given shape, faults at ``path``."""
+    if not shape:
+        return _cast(value, float, path)
+    if not (isinstance(value, list) and len(value) == shape[0]):
+        raise ConfigError(path, f"expected a list of {shape[0]}, got {value!r}")
+    return [_floats(v, shape[1:], path) for v in value]
+
+
+def _naturals(values: list, path: str, distinct=False) -> tuple[int, ...]:
+    """The entries of ``values`` as integers >= 0, distinct if asked."""
+    out = tuple(_cast(v, int, f"{path}[{k}]") for k, v in enumerate(values))
+    for k, v in enumerate(out):
+        if v < 0:
+            raise ConfigError(f"{path}[{k}]", f"expected an integer >= 0, got {v}")
+    if distinct and len(set(out)) != len(out):
+        raise ConfigError(path, "coordinates must be distinct")
+    return out
+
+
+def _read_term(term, path: str) -> PotentialTerm:
+    _check_keys(term, ("coords", "poly"), path)
+    coords = _naturals(_require(term, "coords", path, list), f"{path}.coords", True)
+    poly = {}
+    for j, entry in enumerate(_require(term, "poly", path, list)):
+        where = f"{path}.poly[{j}]"
+        _check_keys(entry, ("exps", "coef"), where)
+        exps = _naturals(_require(entry, "exps", where, list), f"{where}.exps")
+        if len(exps) != len(coords):
+            raise ConfigError(f"{where}.exps", "expected one exponent per coordinate")
+        coef = _cast(_require(entry, "coef", where), float, f"{where}.coef")
+        poly[exps] = poly.get(exps, 0.0) + coef
+    return PotentialTerm(coords=coords, poly=poly)
+
+
+def _read_builtin(builtin, path: str) -> dict:
+    """In order: keys, name, ``params`` keys, coords, each param's shape."""
+    _check_keys(builtin, ("name", "coords", "params"), path)
+    name = _require(builtin, "name", path, str)
+    if name not in BUILTINS:
+        raise ConfigError(f"{path}.name", f"unknown builtin potential {name!r}")
+    shapes, count, _ = BUILTINS[name]
+    params = builtin.get("params", {})
+    _check_keys(params, shapes, f"{path}.params")
+    params = {key: _require(params, key, f"{path}.params") for key in shapes}
+    coords = _naturals(_require(builtin, "coords", path, list), f"{path}.coords", True)
+    n = len(coords)
+    if count not in (None, n):
+        raise ConfigError(f"{path}.coords", f"{name} takes {count} coordinates, got {n}")
+    return {"name": name, "coords": coords, "params": {
+        key: _floats(params[key], tuple(n if s == "n" else s for s in shape),
+                     f"{path}.params.{key}") for key, shape in shapes.items()}}
 
 
 def _read_dataclass(cls, obj, path: str, renames: dict, **fallbacks):
@@ -125,10 +159,8 @@ def _read_dataclass(cls, obj, path: str, renames: dict, **fallbacks):
     _check_keys(obj, fields, path)
     kwargs = dict(fallbacks)
     for key, f in fields.items():
-        if key in obj:
-            kwargs[f.name] = _cast(obj[key], types[f.name], f"{path}.{key}")
-        elif f.default is dataclasses.MISSING:
-            raise ConfigError(f"{path}.{key}", "missing required field")
+        if key in obj or f.default is dataclasses.MISSING:
+            kwargs[f.name] = _cast(_require(obj, key, path), types[f.name], f"{path}.{key}")
     try:
         return cls(**kwargs)
     except (ValueError, TypeError) as exc:
@@ -146,25 +178,18 @@ def parse_run_config(obj: dict):
     degrees = _require(spc, "degrees", "space", list)
     if len(intervals) != d or len(degrees) != d:
         raise ConfigError("space", "intervals and degrees must list one entry per dim")
-    for i, iv in enumerate(intervals):
-        try:
-            a, b = (float(v) for v in iv)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"space.intervals[{i}]", "need [a, b] of numbers") from exc
+    bounds = [_floats(v, (2,), f"space.intervals[{i}]") for i, v in enumerate(intervals)]
+    for i, (a, b) in enumerate(bounds):
         if not a < b:
             raise ConfigError(f"space.intervals[{i}]", "need [a, b] with a < b")
-    for i, n in enumerate(degrees):
-        if _cast(n, int, f"space.degrees[{i}]") < 0:
-            raise ConfigError(f"space.degrees[{i}]", "degree must be >= 0")
-    space = PolySpace(intervals, degrees)
-
+    space = PolySpace(bounds, _naturals(degrees, "space.degrees"))
     pot = _require(obj, "potential", "$", dict)
     _check_keys(pot, ("terms", "builtins"), "potential")
-    _check_potential_keys(pot)
-    try:
-        potential = PotentialSpec.from_json(pot)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError("potential", str(exc)) from exc
+    sections = {}
+    for key, read in (("terms", _read_term), ("builtins", _read_builtin)):
+        entries = _require(pot, key, "potential", list) if key in pot else []
+        sections[key] = [read(e, f"potential.{key}[{i}]") for i, e in enumerate(entries)]
+    potential = PotentialSpec(**sections)
 
     solver = _read_dataclass(SolverConfig, _require(obj, "solver", "$"), "solver", {})
     smp = obj.get("sampler")

@@ -37,34 +37,11 @@ class PotentialTerm:
 
 @dataclass
 class PotentialSpec:
-    """Sum of low-dimensional polynomial terms plus named built-ins."""
+    """Sum of low-dimensional polynomial terms plus named built-ins (see
+    :data:`BUILTINS`).  Only ``cli.parse_run_config`` checks the values."""
 
     terms: list[PotentialTerm] = field(default_factory=list)
     builtins: list[dict] = field(default_factory=list)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PotentialSpec":
-        """Parse the JSON schema::
-
-            {"terms": [{"coords": [...], "poly": [{"exps": [...], "coef": f}]}],
-             "builtins": [{"name": str, "coords": [...], "params": {...}}]}
-        """
-        terms = []
-        for t in obj.get("terms", []):
-            coords = tuple(int(c) for c in t["coords"])
-            poly = {}
-            for entry in t["poly"]:
-                exps = tuple(int(e) for e in entry["exps"])
-                if len(exps) != len(coords):
-                    raise ValueError("exps length must match coords length")
-                poly[exps] = poly.get(exps, 0.0) + float(entry["coef"])
-            terms.append(PotentialTerm(coords=coords, poly=poly))
-        builtins = []
-        for b in obj.get("builtins", []):
-            builtins.append({"name": str(b["name"]),
-                             "coords": tuple(int(c) for c in b["coords"]),
-                             "params": dict(b.get("params", {}))})
-        return cls(terms=terms, builtins=builtins)
 
     def monomials(self) -> list[tuple[dict[int, int], float]]:
         """Flatten terms and built-ins to ``({dim: exponent}, coefficient)``
@@ -94,8 +71,6 @@ def gaussian_monomials(q: np.ndarray, coords) -> list[tuple[dict[int, int], floa
     """Monomials of ``x^T Q x`` on the given coordinates."""
     q = np.asarray(q, dtype=np.float64)
     n = len(coords)
-    if q.shape != (n, n):
-        raise ValueError("Q must be square of the coordinate count")
     out = []
     for i in range(n):
         out.append(({coords[i]: 2}, float(q[i, i])))
@@ -150,23 +125,22 @@ def iso_tail_monomials(coords) -> list[tuple[dict[int, int], float]]:
     return [({c: 2}, 1.0) for c in coords]
 
 
-# The ``params`` keys each built-in potential reads, all required.
-BUILTIN_PARAMS = {"gaussian": ("Q",), "banana": ("sigma",), "doublewell": (),
-                  "sextic": (), "iso_tail": ()}
+# Each built-in, described once: {param: shape} ("n" is the coordinate count),
+# coordinate count (None: any), monomial builder (called with params, coords).
+BUILTINS = {
+    "gaussian": ({"Q": ("n", "n")}, None, gaussian_monomials),
+    "banana": ({"sigma": (2, 2)}, 2, banana_monomials),
+    "doublewell": ({}, 2, doublewell_monomials),
+    "sextic": ({}, 2, sextic_monomials),
+    "iso_tail": ({}, None, iso_tail_monomials),
+}
 
 
 def _expand_builtin(name, coords, params):
-    if name == "gaussian":
-        return gaussian_monomials(np.asarray(params["Q"]), coords)
-    if name == "banana":
-        return banana_monomials(np.asarray(params["sigma"]), coords)
-    if name == "doublewell":
-        return doublewell_monomials(coords)
-    if name == "sextic":
-        return sextic_monomials(coords)
-    if name == "iso_tail":
-        return iso_tail_monomials(coords)
-    raise ValueError(f"unknown builtin potential {name!r}")
+    if name not in BUILTINS:
+        raise ValueError(f"unknown builtin potential {name!r}")
+    shapes, _, monomials = BUILTINS[name]
+    return monomials(*(params[key] for key in shapes), coords)
 
 
 def build_potential_tt(spec: PotentialSpec, space: PolySpace,

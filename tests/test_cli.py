@@ -13,7 +13,7 @@ import pytest
 from tthjb.cli import main, parse_run_config, ConfigError, _potential_floor_check
 from tthjb.integrate import SolverConfig
 from tthjb.sample import SamplerConfig
-from tthjb.operators import PotentialSpec, build_potential_tt
+from tthjb.operators import BUILTINS, PotentialSpec, PotentialTerm, build_potential_tt
 from tthjb.basis import PolySpace
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -153,6 +153,79 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=re.escape(f"potential.{path}: {message}")):
             parse_run_config(cfg)
 
+    @pytest.mark.parametrize("edit,path", [
+        (lambda c: c["sampler"].update(langevin_steps=0.9), "sampler.langevin_steps"),
+        (lambda c: c["sampler"].update(n_particles=1999.5), "sampler.n_particles"),
+        (lambda c: c["solver"].update(p_digits=True), "solver.p_digits"),
+        (lambda c: c["space"].update(degrees=[4.7, 2, 4, 4, 6, 6]), "space.degrees[0]"),
+        (lambda c: c["solver"].update(power_max_iters=float("inf")),
+         "solver.power_max_iters"),
+        (lambda c: c["solver"].update(T=float("nan")), "solver.T"),
+        (lambda c: c["potential"].update(terms=[
+            {"coords": [0.7], "poly": [{"exps": [2.5], "coef": 1.0}]}]),
+         "potential.terms[0].coords[0]"),
+        (lambda c: c["potential"].update(terms=[
+            {"coords": [0], "poly": [{"exps": [2.5], "coef": 1.0}]}]),
+         "potential.terms[0].poly[0].exps[0]"),
+        (lambda c: c["potential"].update(terms=[
+            {"coords": [0], "poly": [{"exps": [-1], "coef": 1.0}]}]),
+         "potential.terms[0].poly[0].exps[0]"),
+        (lambda c: c["potential"].update(terms=[
+            {"coords": [0, 0], "poly": [{"exps": [2, 1], "coef": 1.0}]}]),
+         "potential.terms[0].coords"),
+        (lambda c: c["potential"]["builtins"][0].update(coords=[0, 0]),
+         "potential.builtins[0].coords"),
+        (lambda c: c["potential"]["builtins"][0].update(coords=[0, 1, 2]),
+         "potential.builtins[0].coords"),
+        (lambda c: c["potential"]["builtins"][0]["params"].update(sigma=[[1]]),
+         "potential.builtins[0].params.sigma"),
+        (lambda c: c["potential"]["builtins"][0]["params"].update(
+            sigma=np.eye(3).tolist()), "potential.builtins[0].params.sigma"),
+        (lambda c: c["potential"]["builtins"].append(
+            {"name": "gaussian", "coords": [4, 5], "params": {"Q": [[1.0]]}}),
+         "potential.builtins[3].params.Q"),
+    ], ids=["langevin_steps-fraction", "n_particles-fraction", "p_digits-bool",
+            "degree-fraction", "power_max_iters-inf", "T-nan", "coord-fraction",
+            "exp-fraction", "exp-negative", "term-coords-repeat", "banana-coords-repeat",
+            "banana-3-coords", "sigma-1x1", "sigma-3x3", "Q-1x1-on-2-coords"])
+    def test_bad_value_exits_1(self, tmp_path, capsys, edit, path):
+        cfg = readme_config()
+        edit(cfg)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["solve", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error at {path}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_each_builtin_parses_and_builds(self, tmp_path, name):
+        shapes, count, _ = BUILTINS[name]
+        n = count or 2
+        params = {key: np.eye(*(n if s == "n" else s for s in shape)).tolist()
+                  for key, shape in shapes.items()}
+        builtin = {"name": name, "coords": list(range(n)), "params": params}
+        _, cfg = gaussian_config(tmp_path, d=n)
+        cfg["space"]["degrees"] = [6] * n
+        cfg["potential"] = {"builtins": [builtin]}
+        space, spec, *_ = parse_run_config(cfg)
+        assert spec.builtins == [dict(builtin, coords=tuple(range(n)))]
+        phi = build_potential_tt(spec, space)
+        _potential_floor_check(phi)
+        assert phi.mode_sizes == space.mode_sizes
+
+    def test_potential_json_round_trip(self, tmp_path):
+        _, cfg = gaussian_config(tmp_path, d=3)
+        cfg["potential"] = {"terms": [{"coords": [0, 2], "poly": [
+            {"exps": [2, 0], "coef": 1.0}, {"exps": [1, 1], "coef": -0.5}]}],
+            "builtins": [{"name": "iso_tail", "coords": [1], "params": {}}]}
+        spec = parse_run_config(cfg)[1]
+        assert spec.terms[0].coords == (0, 2)
+        assert spec.builtins[0]["name"] == "iso_tail"
+        x = np.array([1.0, 2.0, 3.0])
+        # x0^2 - 0.5 x0 x2 + x1^2
+        assert spec.evaluate(x) == pytest.approx(1 - 1.5 + 4)
+
     def test_benchmark_configs_pass_the_key_checks(self, monkeypatch):
         monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
         import workloads
@@ -191,16 +264,14 @@ class TestConfigParsing:
 
     def test_floor_check_rejects_constant(self):
         space = PolySpace([(-1, 1)] * 2, [2, 2])
-        spec = PotentialSpec.from_json(
-            {"terms": [{"coords": [], "poly": [{"exps": [], "coef": 1.0}]}]})
+        spec = PotentialSpec(terms=[PotentialTerm((), {(): 1.0})])
         phi = build_potential_tt(spec, space)
         with pytest.raises(ConfigError, match="quadratic"):
             _potential_floor_check(phi)
 
     def test_floor_check_rejects_missing_dimension(self):
         space = PolySpace([(-1, 1)] * 2, [2, 2])
-        spec = PotentialSpec.from_json(
-            {"terms": [{"coords": [0], "poly": [{"exps": [2], "coef": 1.0}]}]})
+        spec = PotentialSpec(terms=[PotentialTerm((0,), {(2,): 1.0})])
         phi = build_potential_tt(spec, space)
         with pytest.raises(ConfigError, match="dimension 1"):
             _potential_floor_check(phi)
@@ -208,8 +279,8 @@ class TestConfigParsing:
     def test_floor_check_accepts_mixed_signs(self):
         # negative quadratic coefficients with quartic confinement are fine
         space = PolySpace([(-2, 2)] * 2, [4, 4])
-        spec = PotentialSpec.from_json(
-            {"builtins": [{"name": "doublewell", "coords": [0, 1], "params": {}}]})
+        spec = PotentialSpec(builtins=[{"name": "doublewell", "coords": (0, 1),
+                                        "params": {}}])
         _potential_floor_check(build_potential_tt(spec, space))
 
 

@@ -34,17 +34,6 @@ def space3():
 
 
 class TestPotentialSpec:
-    def test_json_round_trip(self):
-        obj = {"terms": [{"coords": [0, 2], "poly": [
-            {"exps": [2, 0], "coef": 1.0}, {"exps": [1, 1], "coef": -0.5}]}],
-            "builtins": [{"name": "iso_tail", "coords": [1], "params": {}}]}
-        spec = PotentialSpec.from_json(obj)
-        assert spec.terms[0].coords == (0, 2)
-        assert spec.builtins[0]["name"] == "iso_tail"
-        x = np.array([1.0, 2.0, 3.0])
-        # x0^2 - 0.5 x0 x2 + x1^2
-        assert spec.evaluate(x) == pytest.approx(1 - 1.5 + 4)
-
     def test_banana_expansion_matches_definition(self):
         sigma = np.array([[1.0, 0.9], [0.9, 1.0]])
         monos = banana_monomials(sigma, (0, 1))
