@@ -59,6 +59,7 @@ from .tt import TensorTrain, read_checkpoint, tt_centres, tt_from_dense, tt_rand
 class ConfigError(Exception):
     def __init__(self, path: str, message: str):
         super().__init__(f"config error at {path}: {message}")
+        self.path, self.message = path, message
 
 
 def _require(obj, key, path, typ=None):
@@ -149,18 +150,27 @@ def _read_builtin(builtin, path: str) -> dict:
                      f"{path}.params.{key}") for key, shape in shapes.items()}}
 
 
-def _read_dataclass(cls, obj, path: str, renames: dict, **fallbacks):
+def _schedule(value, _, path):
+    """``solver.rho``: one number, or a list of ``[t, rho]`` number pairs."""
+    if not isinstance(value, list):
+        return _cast(value, float, path)
+    return [_floats(v, (2,), f"{path}[{k}]") for k, v in enumerate(value)]
+
+
+def _read_dataclass(cls, obj, path: str, renames: dict, readers=None, **fallbacks):
     """Build dataclass ``cls`` from the config section ``obj``: one key per
-    field (named as in ``renames`` where given), cast to the field's type.
-    A field without a default is required; any other missing field takes
-    its value from ``fallbacks``, else its default."""
+    field (named as in ``renames`` where given), cast to the field's type,
+    or read by ``readers[field](value, type, path)`` where given.  A field
+    without a default is required; any other missing field takes its value
+    from ``fallbacks``, else its default."""
     types = typing.get_type_hints(cls)
     fields = {renames.get(f.name, f.name): f for f in dataclasses.fields(cls)}
     _check_keys(obj, fields, path)
     kwargs = dict(fallbacks)
     for key, f in fields.items():
         if key in obj or f.default is dataclasses.MISSING:
-            kwargs[f.name] = _cast(_require(obj, key, path), types[f.name], f"{path}.{key}")
+            read = (readers or {}).get(f.name, _cast)
+            kwargs[f.name] = read(_require(obj, key, path), types[f.name], f"{path}.{key}")
     try:
         return cls(**kwargs)
     except (ValueError, TypeError) as exc:
@@ -191,7 +201,8 @@ def parse_run_config(obj: dict):
         sections[key] = [read(e, f"potential.{key}[{i}]") for i, e in enumerate(entries)]
     potential = PotentialSpec(**sections)
 
-    solver = _read_dataclass(SolverConfig, _require(obj, "solver", "$"), "solver", {})
+    solver = _read_dataclass(SolverConfig, _require(obj, "solver", "$"), "solver", {},
+                             {"rho": _schedule})
     smp = obj.get("sampler")
     sampler = _read_dataclass(SamplerConfig, {} if smp is None else smp, "sampler",
                               {"lam": "lambda"}, seed=solver.seed)
@@ -317,16 +328,20 @@ def cmd_sample(manifest_path: str, particles=None, lam=None, langevin_steps=None
     if manifest.get("error"):
         print(f"manifest records a solver abort: {manifest['error']}", file=sys.stderr)
         return 2
-    overrides = {"n_particles": particles, "lam": lam,
-                 "langevin_steps": langevin_steps, "langevin_tau": langevin_tau,
-                 "seed": seed}
-    fields = {k: v for k, v in overrides.items() if v is not None}
-    if fields:
-        try:
-            sampler = dataclasses.replace(sampler, **fields)
-        except ValueError as exc:
-            print(f"invalid sampler option: {exc}", file=sys.stderr)
-            return 1
+    overrides = {("n_particles", "--particles"): particles, ("lam", "--lambda"): lam,
+                 ("langevin_steps", "--langevin-steps"): langevin_steps,
+                 ("langevin_tau", "--langevin-tau"): langevin_tau, ("seed", "--seed"): seed}
+    types = typing.get_type_hints(SamplerConfig)
+    try:
+        sampler = dataclasses.replace(sampler, **{
+            name: _cast(value, types[name], flag)
+            for (name, flag), value in overrides.items() if value is not None})
+    except ConfigError as exc:
+        print(f"invalid sampler option: {exc.path}: {exc.message}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"invalid sampler option: {exc}", file=sys.stderr)
+        return 1
 
     out_dir = os.path.dirname(os.path.abspath(manifest_path))
     try:
@@ -336,7 +351,7 @@ def cmd_sample(manifest_path: str, particles=None, lam=None, langevin_steps=None
         return 1
     try:
         batch = reverse_sample(traj, space, sampler, solver)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"cannot sample: {exc}", file=sys.stderr)
         return 1
 

@@ -11,14 +11,19 @@ optionally followed by unadjusted Langevin steps targeting the same
 intermediate density.  ``lambda = 1`` is the deterministic flow; its noise
 is never drawn, so that path is bit-reproducible.
 
-All particles advance together as one ``(I, d)`` batch on one thread.
 Randomness comes from counter-based Philox streams keyed by (seed, stream
 index): stream 0 draws the initial block and every later draw is one
-``(I, d)`` block whose rows are the particles.
+``(I, d)`` block whose rows are the particles.  Particles never interact,
+so :func:`reverse_sample` splits the rows into contiguous blocks, one per
+usable CPU, and runs every block but the first in a forked child process.
+A block draws only its rows of each normal block, so the samples do not
+depend on the split.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,38 +73,73 @@ class SampleBatch:
     metadata: dict = field(default_factory=dict)
 
 
-def _normals(seed: int, stream: int, shape) -> np.ndarray:
-    """Standard normals from a Philox stream via the inverse CDF."""
+def _normals(seed: int, stream: int, shape, lo: int = 0,
+             hi: int | None = None) -> np.ndarray:
+    """Rows ``[lo, hi)`` (default all) of an ``(N, d)`` block of standard
+    normals from a Philox stream via the inverse CDF.
+
+    Each double takes one 64-bit word, and every Philox counter step yields
+    four words, so row ``lo`` starts ``lo d // 4`` steps and ``lo d % 4``
+    words into the stream: the rows equal the same rows of the whole block.
+    """
+    n, d = shape
+    hi = n if hi is None else hi
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF],
                    dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    u = gen.random(shape)
+    bits = np.random.Philox(key=key)
+    skip, words = divmod(lo * d, 4)
+    bits.advance(skip)
+    u = np.random.Generator(bits).random(words + (hi - lo) * d)[words:]
     # random() samples [0, 1); clip the left tail so ndtri stays finite
-    return ndtri(np.maximum(u, 2.0 ** -54))
+    return ndtri(np.maximum(u, 2.0 ** -54)).reshape(hi - lo, d)
 
 
 # ----------------------------------------------------------------------
 # Evaluation of the low-rank model
 # ----------------------------------------------------------------------
 
-def _contracted_cores(snap: SolutionSnapshot, space: PolySpace, xs: np.ndarray,
+@dataclass(frozen=True)
+class ScoreKernel:
+    """A snapshot's cores laid out for :func:`grad_v_batch`.
+
+    Per mode, ``blocks[i]`` is the ``(2 r0 r1, n + 1)`` matrix of the core's
+    ``(r0 r1, n + 1)`` layout stacked over its derivative, taken on the
+    coefficients by :func:`derivative_matrix`, with the orthonormal scales
+    folded in; ``ranks[i]`` is ``(r0, r1)``.
+    """
+
+    ranks: tuple[tuple[int, int], ...]
+    blocks: tuple[np.ndarray, ...]
+
+
+def prepare_score(snap: SolutionSnapshot, space: PolySpace) -> ScoreKernel:
+    """Lay out ``snap`` once for every score evaluation on it."""
+    ranks, blocks = [], []
+    for i, core in enumerate(snap.coeffs.cores):
+        r0, size, r1 = core.shape
+        basis = space.basis(i, size)
+        flat = core.transpose(0, 2, 1).reshape(r0 * r1, size)
+        ranks.append((r0, r1))
+        blocks.append(np.concatenate([flat, flat @ derivative_matrix(basis).T])
+                      * basis._scales)
+    return ScoreKernel(ranks=tuple(ranks), blocks=tuple(blocks))
+
+
+def _contracted_cores(kernel: ScoreKernel, space: PolySpace, xs: np.ndarray,
                       derivative: bool):
     """Every core contracted with its mode's basis at the points, as
     ``(r0, r1, m)`` arrays with the particles on the last axis.
 
     One three-term recurrence runs over the ``(d, m)`` mapped coordinates up
-    to the largest mode degree.  Each core, laid out as ``(r0 r1, n + 1)``
-    with the orthonormal scales folded in, is then one product with its
-    mode's ``(n + 1, m)`` block of that table.  With ``derivative`` the
-    same product also contracts the core's derivative, taken on the
-    coefficients by :func:`derivative_matrix`.  Returns the list of value
+    to the largest mode degree.  Each core is then one product of its
+    prepared block (the value rows alone without ``derivative``) with its
+    mode's ``(n + 1, m)`` block of that table.  Returns the list of value
     contractions and the list of derivative contractions (empty without
     ``derivative``).
     """
-    cores = snap.coeffs.cores
     lo, hi = np.array(space.intervals).T
     u = 2.0 * (np.ascontiguousarray(xs.T) - lo[:, None]) / (hi - lo)[:, None] - 1.0
-    top = max(core.shape[1] for core in cores)
+    top = max(block.shape[1] for block in kernel.blocks)
     p = np.empty((top,) + u.shape)
     p[0], p[1:2] = 1.0, u           # p[1:2] is empty when every degree is 0
     for k in range(1, top - 1):     # (k + 1) P_{k+1} = (2k + 1) u P_k - k P_{k-1}
@@ -107,13 +147,9 @@ def _contracted_cores(snap: SolutionSnapshot, space: PolySpace, xs: np.ndarray,
         p[k + 1] *= (2 * k + 1) / (k + 1)
         p[k + 1] -= k / (k + 1) * p[k - 1]
     vals, dvals = [], []
-    for i, core in enumerate(cores):
-        r0, size, r1 = core.shape
-        basis = space.basis(i, size)
-        flat = core.transpose(0, 2, 1).reshape(r0 * r1, size)
-        if derivative:
-            flat = np.concatenate([flat, flat @ derivative_matrix(basis).T])
-        both = ((flat * basis._scales) @ p[:size, i]).reshape(1 + derivative, r0, r1, len(xs))
+    for i, ((r0, r1), block) in enumerate(zip(kernel.ranks, kernel.blocks)):
+        rows = block if derivative else block[:r0 * r1]
+        both = (rows @ p[:block.shape[1], i]).reshape(1 + derivative, r0, r1, len(xs))
         vals.append(both[0])
         dvals.extend(both[1:])
     return vals, dvals
@@ -124,10 +160,13 @@ def eval_v(snap: SolutionSnapshot, space: PolySpace, x) -> float:
     return float(eval_v_batch(snap, space, np.atleast_2d(np.asarray(x, float)))[0])
 
 
-def eval_v_batch(snap: SolutionSnapshot, space: PolySpace, xs: np.ndarray) -> np.ndarray:
+def eval_v_batch(snap: SolutionSnapshot | ScoreKernel, space: PolySpace,
+                 xs: np.ndarray) -> np.ndarray:
     """Values at an ``(m, d)`` batch: the contracted cores chained left to
-    right, particles last."""
-    vals, _ = _contracted_cores(snap, space, xs, derivative=False)
+    right, particles last.  ``snap`` may be prepared by
+    :func:`prepare_score` (a snapshot is prepared on the spot)."""
+    kernel = snap if isinstance(snap, ScoreKernel) else prepare_score(snap, space)
+    vals, _ = _contracted_cores(kernel, space, xs, derivative=False)
     env = np.ones((1, xs.shape[0]))
     for mat in vals:
         env = np.einsum("am,abm->bm", env, mat)
@@ -139,16 +178,18 @@ def grad_v(snap: SolutionSnapshot, space: PolySpace, x) -> np.ndarray:
     return grad_v_batch(snap, space, np.atleast_2d(np.asarray(x, float)))[0]
 
 
-def grad_v_batch(snap: SolutionSnapshot, space: PolySpace,
+def grad_v_batch(snap: SolutionSnapshot | ScoreKernel, space: PolySpace,
                  xs: np.ndarray) -> np.ndarray:
-    """Gradients at an ``(m, d)`` batch.
+    """Gradients at an ``(m, d)`` batch.  ``snap`` may be prepared by
+    :func:`prepare_score` (a snapshot is prepared on the spot).
 
     A right-to-left sweep caches the partial contractions right of each
     mode; a left-to-right sweep then contracts the left environment, the
     derivative core and the right environment, so the cost is
     ``O(m d n r^2)`` instead of d independent full contractions.
     """
-    vals, dvals = _contracted_cores(snap, space, xs, derivative=True)
+    kernel = snap if isinstance(snap, ScoreKernel) else prepare_score(snap, space)
+    vals, dvals = _contracted_cores(kernel, space, xs, derivative=True)
     m, d = xs.shape
     right = [np.ones((1, m))]
     for mat in vals[:0:-1]:
@@ -190,33 +231,94 @@ def _largest_norm(g: np.ndarray) -> float:
     return float(np.sqrt(peak))
 
 
-def reverse_sample_scored(grad_fn, times, d: int, scfg: SamplerConfig) -> SampleBatch:
-    """Run the reverse process against an arbitrary score surrogate.
+# Fewest particles a forked block gets.  Per-call overhead dominates small
+# blocks: `tthjb sample` on the 403-step mixed6 trajectory (3 Langevin
+# steps, 2 vCPU, one BLAS thread, median of 3 runs) took 1.53 s for 1000
+# particles in one block and 1.12 s in two, 1.09 s and 0.95 s for 500, and
+# 0.90 s and 0.87 s for 250, while a second block doubles the CPU used.
+MIN_BLOCK = 500
 
-    ``grad_fn(s, z)`` must return the gradient of the surrogate negative
-    log-density at diffusion time ``s = times[-1] - times[n]`` for the
-    ``(I, d)`` batch ``z`` of all particles, rows in particle order;
-    ``times`` is the increasing sampling grid from 0 to the horizon.  ``z``
-    is always finite: a particle whose update has a non-finite entry keeps
-    its last state and is flagged in ``aborted``.
 
-    The metadata holds one entry per reverse step (Langevin steps
-    included) in ``frozen_per_step``, the number of frozen particles after
-    the step, and ``max_score_norm_per_step``, the largest finite Euclidean
-    norm of a row of the step's ``grad_fn`` results (0.0 when none is
-    finite).
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where ``fork`` is missing, and while
+    other threads run, since a forked child could inherit a lock one holds."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _blocks(n: int) -> list[tuple[int, int]]:
+    """Contiguous ranges of the ``n`` particle rows, one per usable CPU and
+    each of at least ``MIN_BLOCK`` rows; one range when ``n`` is smaller."""
+    k = max(1, min(_usable_cpus(), n // MIN_BLOCK))
+    edges = [n * j // k for j in range(k + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+def _child(run, start: int, stop: int, send):
+    try:
+        message = (True, run(start, stop))
+    except Exception as exc:        # raised again by the parent
+        message = (False, f"{type(exc).__name__}: {exc}")
+    send.send(message)
+    send.close()
+
+
+def _in_workers(run, blocks: list[tuple[int, int]]) -> list:
+    """``run(start, stop)`` of every block, in order.  The first block runs
+    in this process and each other one in a forked child, which sends its
+    result back on a pipe.  A child's exception or death is raised here as
+    a ``RuntimeError``; every child is joined on every path."""
+    if len(blocks) == 1:
+        return [run(*blocks[0])]
+    import multiprocessing          # here, so that a solve does not load it
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for start, stop in blocks[1:]:
+            receive, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_child, args=(run, start, stop, send))
+            child.start()
+            send.close()
+            children.append((child, receive))
+        results = [run(*blocks[0])]
+        for (child, receive), (start, stop) in zip(children, blocks[1:]):
+            where = f"sampling worker for particles {start}-{stop - 1}"
+            try:
+                ok, value = receive.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"{where} exited with code {child.exitcode}") from None
+            if not ok:
+                raise RuntimeError(f"{where} failed: {value}")
+            results.append(value)
+        return results
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receive in children:
+            child.join()
+            receive.close()
+
+
+def _reverse_rows(grad_fn, times: np.ndarray, d: int, scfg: SamplerConfig,
+                  start: int, stop: int):
+    """Particles ``[start, stop)`` of the reverse process on ``times``.
+
+    Every draw is the matching rows of the whole ``(I, d)`` normal block, so
+    the rows do not depend on how the particles are split.  Returns the
+    final states, the frozen flags and, per reverse step, the number of
+    frozen particles and the largest finite norm of a score row.
     """
-    times = _sampling_grid(times)
     horizon = times[-1]
-    total = scfg.n_particles
-    if total == 0:
-        return SampleBatch(d=d, samples=np.zeros((0, d)),
-                           oob_counts=np.zeros(0, dtype=np.int64),
-                           aborted=np.zeros(0, dtype=bool))
     lam = scfg.lam
     L = scfg.langevin_steps
-    z = _normals(scfg.seed, 0, (total, d))
-    aborted = np.zeros(total, dtype=bool)
+    shape = (scfg.n_particles, d)
+    z = _normals(scfg.seed, 0, shape, start, stop)
+    aborted = np.zeros(stop - start, dtype=bool)
 
     def apply(update):
         nonlocal z
@@ -235,32 +337,60 @@ def reverse_sample_scored(grad_fn, times, d: int, scfg: SamplerConfig) -> Sample
         peak = _largest_norm(g)
         drift = z + (z - (2.0 - lam) * g) * tau
         if lam != 1.0:
-            xi = _normals(scfg.seed, stream, (total, d))
+            xi = _normals(scfg.seed, stream, shape, start, stop)
             stream += 1
             drift = drift + np.sqrt(2.0 * (1.0 - lam) * tau) * xi
         apply(drift)
         for _ in range(L):
             g = grad_fn(s, z)
             peak = max(peak, _largest_norm(g))
-            xi = _normals(scfg.seed, stream, (total, d))
+            xi = _normals(scfg.seed, stream, shape, start, stop)
             stream += 1
             apply(z - scfg.langevin_tau * g
                   + np.sqrt(2.0 * scfg.langevin_tau) * xi)
         frozen.append(int(aborted.sum()))
         peaks.append(peak)
-    if np.mean(aborted) > 0.10:
+    return z, aborted, frozen, peaks
+
+
+def _batch(times: np.ndarray, d: int, scfg: SamplerConfig, z, aborted, oob_counts,
+           frozen, peaks) -> SampleBatch:
+    """The finished batch; raises when more than 10% of all particles froze."""
+    if aborted.size and np.mean(aborted) > 0.10:
         raise RuntimeError(
-            f"{int(aborted.sum())} of {total} particles diverged (> 10%)")
-    return SampleBatch(d=d, samples=z,
-                       oob_counts=np.zeros(total, dtype=np.int64),
-                       aborted=aborted,
+            f"{int(aborted.sum())} of {aborted.size} particles diverged (> 10%)")
+    return SampleBatch(d=d, samples=z, oob_counts=oob_counts, aborted=aborted,
                        metadata={"normal_transform": NORMAL_TRANSFORM,
-                                 "lambda": lam, "langevin_steps": L,
+                                 "lambda": scfg.lam,
+                                 "langevin_steps": scfg.langevin_steps,
                                  "langevin_tau": scfg.langevin_tau,
                                  "seed": scfg.seed,
                                  "times": times.tolist(),
                                  "frozen_per_step": frozen,
                                  "max_score_norm_per_step": peaks})
+
+
+def reverse_sample_scored(grad_fn, times, d: int, scfg: SamplerConfig) -> SampleBatch:
+    """Run the reverse process against an arbitrary score surrogate, in
+    this process.
+
+    ``grad_fn(s, z)`` must return the gradient of the surrogate negative
+    log-density at diffusion time ``s = times[-1] - times[n]`` for the
+    ``(I, d)`` batch ``z`` of all particles, rows in particle order;
+    ``times`` is the increasing sampling grid from 0 to the horizon.  ``z``
+    is always finite: a particle whose update has a non-finite entry keeps
+    its last state and is flagged in ``aborted``.
+
+    The metadata holds one entry per reverse step (Langevin steps
+    included) in ``frozen_per_step``, the number of frozen particles after
+    the step, and ``max_score_norm_per_step``, the largest finite Euclidean
+    norm of a row of the step's ``grad_fn`` results (0.0 when none is
+    finite).
+    """
+    times = _sampling_grid(times)
+    n = scfg.n_particles
+    z, aborted, frozen, peaks = _reverse_rows(grad_fn, times, d, scfg, 0, n)
+    return _batch(times, d, scfg, z, aborted, np.zeros(n, dtype=np.int64), frozen, peaks)
 
 
 def reverse_sample(traj: Trajectory, space: PolySpace, scfg: SamplerConfig,
@@ -275,6 +405,10 @@ def reverse_sample(traj: Trajectory, space: PolySpace, scfg: SamplerConfig,
     coordinates projected onto the hypercube instead (the particle state is
     untouched) and the counts stay 0.  ``out_of_domain_per_step`` in the
     metadata sums the counts over each reverse step's evaluations.
+
+    The particles run in contiguous blocks, one per usable CPU (see
+    :data:`MIN_BLOCK`), each in a forked child but the first; the result
+    is the same for any split.  A failed child raises ``RuntimeError``.
     """
     if not traj.is_complete(cfg.T):
         raise ValueError(f"trajectory did not reach the horizon T={cfg.T}")
@@ -287,26 +421,35 @@ def reverse_sample(traj: Trajectory, space: PolySpace, scfg: SamplerConfig,
         snaps.update((times[-1] - tn, snap)
                      for tn, snap in zip(times, reversed(traj.snapshots)))
     times = _sampling_grid(times)
-    for tn in times[:-1]:
-        s = times[-1] - tn
+    steps = times[-1] - times[:-1]          # the diffusion time of each step
+    for s in steps:
         if s not in snaps:
             snaps[s] = evaluate_at_time(traj, s, space, cfg)
+    kernels = {s: prepare_score(snaps[s], space) for s in steps}
     d = traj.snapshots[0].coeffs.d
     lo, hi = np.array(space.intervals).T
-    oob_counts = np.zeros(scfg.n_particles, dtype=np.int64)
-    oob_per_step = dict.fromkeys(times[-1] - times[:-1], 0)   # keyed by s
 
-    def grad_fn(s, z):
-        if scfg.clamp_to_domain:
-            z = np.clip(z, lo, hi)
-        else:
-            counts = _count_outside(z, lo, hi)
-            oob_counts[:] += counts
-            oob_per_step[s] += int(counts.sum())
-        return grad_v_batch(snaps[s], space, z)
+    def rows(start, stop):
+        oob_counts = np.zeros(stop - start, dtype=np.int64)
+        oob_per_step = dict.fromkeys(steps, 0)
 
-    batch = reverse_sample_scored(grad_fn, times, d, scfg)
-    batch.oob_counts = oob_counts
+        def grad_fn(s, z):
+            if scfg.clamp_to_domain:
+                z = np.clip(z, lo, hi)
+            else:
+                counts = _count_outside(z, lo, hi)
+                oob_counts[:] += counts
+                oob_per_step[s] += int(counts.sum())
+            return grad_v_batch(kernels[s], space, z)
+
+        z, aborted, frozen, peaks = _reverse_rows(grad_fn, times, d, scfg, start, stop)
+        return z, aborted, oob_counts, frozen, peaks, list(oob_per_step.values())
+
+    z, aborted, oob_counts, frozen, peaks, oob_per_step = zip(
+        *_in_workers(rows, _blocks(scfg.n_particles)))
+    batch = _batch(times, d, scfg, np.concatenate(z), np.concatenate(aborted),
+                   np.concatenate(oob_counts), np.sum(frozen, axis=0).tolist(),
+                   np.max(peaks, axis=0).tolist())
     batch.metadata["clamp_to_domain"] = scfg.clamp_to_domain
-    batch.metadata["out_of_domain_per_step"] = list(oob_per_step.values())
+    batch.metadata["out_of_domain_per_step"] = np.sum(oob_per_step, axis=0).tolist()
     return batch

@@ -1,6 +1,7 @@
 """Command-line front end: configs, outputs, determinism, verify suites."""
 
 import json
+import multiprocessing
 import re
 import subprocess
 import sys
@@ -184,10 +185,15 @@ class TestConfigParsing:
         (lambda c: c["potential"]["builtins"].append(
             {"name": "gaussian", "coords": [4, 5], "params": {"Q": [[1.0]]}}),
          "potential.builtins[3].params.Q"),
+        (lambda c: c["solver"].update(rho="0.5"), "solver.rho"),
+        (lambda c: c["solver"].update(rho=[[False, 0.5]]), "solver.rho[0]"),
+        (lambda c: c["solver"].update(rho=[[0, 0.2], [float("nan"), 0.9]]),
+         "solver.rho[1]"),
     ], ids=["langevin_steps-fraction", "n_particles-fraction", "p_digits-bool",
             "degree-fraction", "power_max_iters-inf", "T-nan", "coord-fraction",
             "exp-fraction", "exp-negative", "term-coords-repeat", "banana-coords-repeat",
-            "banana-3-coords", "sigma-1x1", "sigma-3x3", "Q-1x1-on-2-coords"])
+            "banana-3-coords", "sigma-1x1", "sigma-3x3", "Q-1x1-on-2-coords",
+            "rho-string", "rho-bool-breakpoint", "rho-nan-breakpoint"])
     def test_bad_value_exits_1(self, tmp_path, capsys, edit, path):
         cfg = readme_config()
         edit(cfg)
@@ -466,13 +472,45 @@ class TestSampleCommand:
         (["--particles", "-1"], "n_particles"),
         (["--langevin-steps", "2", "--langevin-tau", "0"], "langevin_tau"),
         (["--lambda", "2"], "lambda"),
-    ], ids=["particles", "langevin-tau", "lambda"])
+        (["--langevin-steps", "2", "--langevin-tau", "nan"],
+         "--langevin-tau: expected a finite number, got nan"),
+        (["--langevin-steps", "2", "--langevin-tau", "inf"],
+         "--langevin-tau: expected a finite number, got inf"),
+        (["--lambda", "nan"], "--lambda: expected a finite number, got nan"),
+    ], ids=["particles", "langevin-tau", "lambda", "langevin-tau-nan",
+            "langevin-tau-inf", "lambda-nan"])
     def test_invalid_override_exits_1(self, solved, capsys, args, message):
         assert main(["sample", str(solved)] + args) == 1
         err = capsys.readouterr().err
         assert err.startswith("invalid sampler option:") and message in err
         assert err.count("\n") == 1
         assert not (solved.parent / "samples.csv").exists()
+
+    def test_divergence_exits_1(self, solved, capsys):
+        assert main(["sample", str(solved), "--langevin-steps", "1",
+                     "--langevin-tau", "1e300"]) == 1
+        err = capsys.readouterr().err
+        assert err == "cannot sample: 64 of 64 particles diverged (> 10%)\n"
+        assert not (solved.parent / "samples.csv").exists()
+
+    def test_failed_worker_exits_1(self, solved, capsys, monkeypatch):
+        import tthjb.sample as sample
+        real_rows = sample._reverse_rows
+
+        def rows(grad_fn, times, d, scfg, start, stop):
+            if start:
+                raise ValueError(f"no score for particles {start}-{stop - 1}")
+            return real_rows(grad_fn, times, d, scfg, start, stop)
+
+        monkeypatch.setattr(sample, "MIN_BLOCK", 1)
+        monkeypatch.setattr(sample, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(sample, "_reverse_rows", rows)
+        assert main(["sample", str(solved)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("cannot sample: sampling worker for particles 32-63 failed: "
+                       "ValueError: no score for particles 32-63\n")
+        assert not (solved.parent / "samples.csv").exists()
+        assert multiprocessing.active_children() == []
 
 
 class TestVerifyCommand:

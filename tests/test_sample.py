@@ -1,7 +1,13 @@
 """Model evaluation and the reverse-time sampling process."""
 
+import multiprocessing
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from tthjb import sample
 from tthjb.basis import PolySpace
@@ -9,8 +15,8 @@ from tthjb.integrate import SolutionSnapshot, SolverConfig, Trajectory, solve_hj
 from tthjb.operators import (PotentialSpec, PotentialTerm, build_potential_tt,
                              covariance_error, extract_quadratic)
 from tthjb.oracles import riccati_reference
-from tthjb.sample import (SampleBatch, SamplerConfig, count_out_of_domain,
-                          eval_v, eval_v_batch, grad_v, grad_v_batch,
+from tthjb.sample import (SampleBatch, SamplerConfig, _normals, count_out_of_domain,
+                          eval_v, eval_v_batch, grad_v, grad_v_batch, prepare_score,
                           reverse_sample, reverse_sample_scored)
 from tthjb.tt import tt_random
 
@@ -167,6 +173,15 @@ class TestParticleLastKernel:
                     <= KERNEL_RTOL * loop_eval(snap, space, point, np.abs)[0])
             assert np.all(np.abs(grad - loop_grad(snap, space, point)[0])
                           <= KERNEL_RTOL * loop_grad(snap, space, point, np.abs)[0])
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_prepared_kernel_is_bitwise_the_snapshot(self, name):
+        space, snap, xs = self.case(name, 257)
+        kernel = prepare_score(snap, space)
+        np.testing.assert_array_equal(eval_v_batch(kernel, space, xs),
+                                      eval_v_batch(snap, space, xs))
+        np.testing.assert_array_equal(grad_v_batch(kernel, space, xs),
+                                      grad_v_batch(snap, space, xs))
 
 
 class TestCovarianceError:
@@ -340,6 +355,15 @@ class TestTrajectorySampler:
             reverse_sample(broken, space, scfg, cfg)
 
 
+def box_trajectory():
+    """The half-norm potential on [-0.5, 0.5]^2 at 11 times, so particles
+    leave the box."""
+    space, snap = standard_half_norm(2, intervals=(-0.5, 0.5))
+    traj = Trajectory(snapshots=[SolutionSnapshot(t, snap.coeffs)
+                                 for t in np.linspace(0.0, 1.0, 11)])
+    return space, traj, SolverConfig(T=1.0, tau_max=0.1)
+
+
 class TestDomainClamp:
     """With ``clamp_to_domain`` the score is evaluated at the particles
     projected onto the box and nothing is counted; without it every
@@ -347,27 +371,25 @@ class TestDomainClamp:
 
     @staticmethod
     def run(monkeypatch, clamp):
-        space, snap = standard_half_norm(2, intervals=(-0.5, 0.5))
-        traj = Trajectory(snapshots=[SolutionSnapshot(t, snap.coeffs)
-                                     for t in np.linspace(0.0, 1.0, 11)])
+        space, traj, cfg = box_trajectory()
         states, points = [], []
-        real_scored, real_grad = sample.reverse_sample_scored, sample.grad_v_batch
+        real_rows, real_grad = sample._reverse_rows, sample.grad_v_batch
 
-        def scored(grad_fn, times, d, scfg):
+        def scored(grad_fn, times, d, scfg, start, stop):
             def recording(s, z):
                 states.append(z.copy())
                 return grad_fn(s, z)
-            return real_scored(recording, times, d, scfg)
+            return real_rows(recording, times, d, scfg, start, stop)
 
         def grad(snap, space, xs):
             points.append(xs.copy())
             return real_grad(snap, space, xs)
 
-        monkeypatch.setattr(sample, "reverse_sample_scored", scored)
+        monkeypatch.setattr(sample, "_reverse_rows", scored)
         monkeypatch.setattr(sample, "grad_v_batch", grad)
         scfg = SamplerConfig(n_particles=200, langevin_steps=1, seed=8,
                              clamp_to_domain=clamp)
-        batch = reverse_sample(traj, space, scfg, SolverConfig(T=1.0, tau_max=0.1))
+        batch = reverse_sample(traj, space, scfg, cfg)
         assert len(states) == len(points) == 20  # 10 reverse + 10 Langevin steps
         return space, batch, states, points
 
@@ -386,6 +408,147 @@ class TestDomainClamp:
         expected = sum(count_out_of_domain(space, z) for z in states)
         assert expected.sum() > 0
         np.testing.assert_array_equal(batch.oob_counts, expected)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """``workers(k)`` makes ``reverse_sample`` split any batch into ``k``
+    blocks; every test using it checks that no child is left behind."""
+    def split(k):
+        monkeypatch.setattr(sample, "MIN_BLOCK", 1)
+        monkeypatch.setattr(sample, "_usable_cpus", lambda: k)
+    yield split
+    assert multiprocessing.active_children() == []
+
+
+def poison_block(monkeypatch, first_row, action):
+    """Run ``action(grad_fn, s, z)`` in place of the score in the block
+    starting at ``first_row``."""
+    real_rows = sample._reverse_rows
+
+    def rows(grad_fn, times, d, scfg, start, stop):
+        if start == first_row:
+            return real_rows(lambda s, z: action(grad_fn, s, z), times, d, scfg, start, stop)
+        return real_rows(grad_fn, times, d, scfg, start, stop)
+
+    monkeypatch.setattr(sample, "_reverse_rows", rows)
+
+
+class TestParticleBlocks:
+    """The particle rows split into forked blocks without changing a bit."""
+
+    # with d = 3, rows 0, 3, 2 and 1 start 0, 1, 2 and 3 words into a
+    # Philox counter step (lo * d % 4)
+    @pytest.mark.parametrize("lo", [0, 1, 2, 3, 5, 6, 7, 399, 400])
+    def test_normals_rows_equal_the_full_draw(self, lo):
+        shape = (401, 3)
+        key = np.array([77, 5], dtype=np.uint64)
+        u = np.random.Generator(np.random.Philox(key=key)).random(shape)
+        full = ndtri(np.maximum(u, 2.0 ** -54))
+        np.testing.assert_array_equal(_normals(77, 5, shape), full)
+        for hi in (lo, lo + 1, 401):
+            np.testing.assert_array_equal(_normals(77, 5, shape, lo, hi), full[lo:hi])
+
+    @pytest.mark.parametrize("n,cpus,sizes", [
+        (1999, 3, [666, 666, 667]), (1000, 3, [500, 500]), (999, 3, [999]),
+        (5000, 1, [5000]), (0, 2, [0])])
+    def test_blocks_are_contiguous_and_large_enough(self, monkeypatch, n, cpus, sizes):
+        monkeypatch.setattr(sample, "_usable_cpus", lambda: cpus)
+        blocks = sample._blocks(n)
+        assert [stop - start for start, stop in blocks] == sizes
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_any_split_gives_identical_results(self, workers, monkeypatch, clamp):
+        """1, 2 and 3 blocks of 301 particles (3 blocks are uneven) give the
+        same arrays and metadata, with particles frozen in several blocks."""
+        space, traj, cfg = box_trajectory()
+        real_grad = sample.grad_v_batch
+
+        def grad(snap, space, xs):      # freezes a particle by its own state
+            g = real_grad(snap, space, xs)
+            g[np.hypot(xs[:, 0], xs[:, 1]) < 0.04] = np.inf
+            return g
+
+        monkeypatch.setattr(sample, "grad_v_batch", grad)
+        scfg = SamplerConfig(n_particles=301, langevin_steps=1, seed=8,
+                             clamp_to_domain=clamp)
+        batches = []
+        for k in (1, 2, 3):
+            workers(k)
+            batches.append(reverse_sample(traj, space, scfg, cfg))
+        frozen = np.flatnonzero(batches[0].aborted)
+        assert len({np.searchsorted([100, 200], i, side="right") for i in frozen}) > 1
+        assert batches[0].metadata["frozen_per_step"][-1] == len(frozen)
+        assert batches[0].oob_counts.any() != clamp
+        for batch in batches[1:]:
+            np.testing.assert_array_equal(batch.samples, batches[0].samples)
+            np.testing.assert_array_equal(batch.aborted, batches[0].aborted)
+            np.testing.assert_array_equal(batch.oob_counts, batches[0].oob_counts)
+            assert batch.metadata == batches[0].metadata
+
+    @pytest.mark.parametrize("poisoned,raises", [(24, False), (36, True)],
+                             ids=["8-percent", "12-percent"])
+    def test_divergence_check_counts_all_blocks(self, workers, monkeypatch,
+                                                poisoned, raises):
+        """All frozen particles sit in the last of three blocks of 100, far
+        above 10% of that block; only the share of all 300 counts."""
+        space, traj, cfg = box_trajectory()
+
+        def diverge(grad_fn, s, z):
+            g = grad_fn(s, z)
+            g[:poisoned] = np.inf
+            return g
+
+        poison_block(monkeypatch, 200, diverge)
+        workers(3)
+        scfg = SamplerConfig(n_particles=300, seed=8)
+        if raises:
+            with pytest.raises(RuntimeError, match="36 of 300 particles diverged"):
+                reverse_sample(traj, space, scfg, cfg)
+        else:
+            batch = reverse_sample(traj, space, scfg, cfg)
+            assert np.flatnonzero(batch.aborted).tolist() == list(range(200, 224))
+
+    def test_failing_worker_raises_its_message(self, workers, monkeypatch):
+        space, traj, cfg = box_trajectory()
+
+        def fail(grad_fn, s, z):
+            raise ValueError("score exploded")
+
+        poison_block(monkeypatch, 100, fail)
+        workers(3)
+        with pytest.raises(RuntimeError, match=r"particles 100-199 failed: "
+                                               r"ValueError: score exploded"):
+            reverse_sample(traj, space, SamplerConfig(n_particles=300, seed=8), cfg)
+
+    def test_killed_worker_names_its_exit_code(self, workers, monkeypatch):
+        space, traj, cfg = box_trajectory()
+
+        def die(grad_fn, s, z):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        poison_block(monkeypatch, 200, die)
+        workers(3)
+        with pytest.raises(RuntimeError, match=r"particles 200-299 exited with code -9"):
+            reverse_sample(traj, space, SamplerConfig(n_particles=300, seed=8), cfg)
+
+    def test_failure_in_this_process_stops_the_workers(self, workers, monkeypatch):
+        """The children, still busy for 20 s, are terminated, not awaited."""
+        space, traj, cfg = box_trajectory()
+
+        def rows(grad_fn, times, d, scfg, start, stop):
+            if start:
+                time.sleep(20)
+            raise KeyError("first block")
+
+        monkeypatch.setattr(sample, "_reverse_rows", rows)
+        workers(3)
+        began = time.perf_counter()
+        with pytest.raises(KeyError, match="first block"):
+            reverse_sample(traj, space, SamplerConfig(n_particles=300, seed=8), cfg)
+        assert time.perf_counter() - began < 10
 
 
 class TestSamplerConfig:
