@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import PolySpace
-from .operators import (apply_lin, apply_nonlin, apply_stiffness, covariance_error,
-                        prepare_stiffness, project_degree, projection_norms)
+from .operators import (StiffnessSide, apply_lin, apply_nonlin_linearized,
+                        apply_stiffness, covariance_error, prepare_stiffness,
+                        project_degree, projection_norms)
 from .tt import (TensorTrain, check_finite, right_orthogonalize, tt_add_scaled, tt_centres,
                  tt_inner, tt_norm, tt_random, tt_round, tt_round_sketched,
                  tt_round_with_error, tt_scale)
@@ -179,8 +180,8 @@ def _warm_start(Y: TensorTrain, state: PowerState | None) -> TensorTrain | None:
 
 
 def power_iteration_bound(y: SolutionSnapshot, space: PolySpace,
-                          cfg: SolverConfig,
-                          state: PowerState | None = None) -> tuple[float, int]:
+                          cfg: SolverConfig, state: PowerState | None = None,
+                          side: StiffnessSide | None = None) -> tuple[float, int]:
     """Estimate ``|lambda| + 10^-(P + p)``, ``P = ceil(-log10 |lambda|)``, of
     the dominant absolute real eigenvalue of the locally linearized
     right-hand side ``H_Y`` at ``y``; returns ``(estimate, iterations)``.
@@ -207,8 +208,10 @@ def power_iteration_bound(y: SolutionSnapshot, space: PolySpace,
     (Gaussians at d = 4-6, seeds 0-3, default settings) it lies between
     -3.8% and +6.3% of the spectral radius.  ``state`` supplies the warm
     start and step index and receives the last iterate and whether the stop
-    rule fired.  Returns 0.0 (flagged stationary) when the estimate
-    vanishes; raises ``ValueError`` when it is not finite.
+    rule fired.  ``side`` is ``y``'s
+    :func:`~tthjb.operators.prepare_stiffness`, when already computed.
+    Returns 0.0 (flagged stationary) when the estimate vanishes; raises
+    ``ValueError`` when it is not finite.
     """
     Y = y.coeffs
     warm = _warm_start(Y, state)
@@ -218,7 +221,8 @@ def power_iteration_bound(y: SolutionSnapshot, space: PolySpace,
         state.vector, state.converged = None, True
     if tt_norm(Y) == 0.0:
         return 0.0, 0
-    side = prepare_stiffness(Y, space)
+    if side is None:
+        side = prepare_stiffness(Y, space)
     caps = Y.interior_ranks
     x = tt_scale(start, 1.0 / tt_norm(start))
     g = tt_random(Y.mode_sizes, Y.ranks, _philox(cfg.seed, 0x706F776572))
@@ -267,11 +271,13 @@ def stepsize_stiffness(lambda_bar: float, rho: float) -> float:
 # Criteria 2 and 3: projection and retraction bounds
 # ----------------------------------------------------------------------
 
-def _step_quantities(y: SolutionSnapshot, space: PolySpace) -> tuple[TensorTrain, float]:
+def _step_quantities(y: SolutionSnapshot, space: PolySpace,
+                     side: StiffnessSide | None = None) -> tuple[TensorTrain, float]:
     """Right-hand side at ``y`` and the relative degree-projection error
-    ``|(I - P) NL| / |NL|`` of its nonlinear part."""
+    ``|(I - P) NL| / |NL|`` of its nonlinear part.  ``side`` is ``y``'s
+    :func:`~tthjb.operators.prepare_stiffness`, when already computed."""
     degrees = [m - 1 for m in y.coeffs.mode_sizes]
-    nl, _ = apply_nonlin(y.coeffs, space)
+    nl, _ = apply_nonlin_linearized(y.coeffs if side is None else side, y.coeffs, space)
     nl_norm, dropped = projection_norms(nl, degrees)
     rel = dropped / nl_norm if dropped > PROJECTION_EPS * nl_norm else 0.0
     rhs = tt_add_scaled(apply_lin(y.coeffs, space), project_degree(nl, degrees), 1.0)
@@ -457,9 +463,10 @@ def solve_hjb(phi: TensorTrain, space: PolySpace, cfg: SolverConfig) -> Trajecto
         started = time.perf_counter()
         try:
             power.step = step
-            lambda_bar, power_iters = power_iteration_bound(snap, space, cfg, power)
+            side = prepare_stiffness(snap.coeffs, space)  # H_Y's and NL's kernels
+            lambda_bar, power_iters = power_iteration_bound(snap, space, cfg, power, side)
             tau_lambda = stepsize_stiffness(lambda_bar, cfg.rho_at(t))
-            rhs, rel_proj = _step_quantities(snap, space)
+            rhs, rel_proj = _step_quantities(snap, space, side)
             tau_proj = _projection_bound(rel_proj, cfg)
             target = _rank_caps(snap.coeffs, r0)
             remaining = cfg.T - t

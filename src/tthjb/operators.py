@@ -251,63 +251,60 @@ def poly_multiply(a: TensorTrain, b: TensorTrain,
     return TensorTrain._trusted(cores), out_space
 
 
-def _stacked_kernels(y: TensorTrain, space: PolySpace) -> tuple[PolySpace, list]:
-    """The space at twice the degrees of ``y`` and, per dimension ``i``, the
-    product kernels (see :func:`_product_kernel`) of ``Y_i`` and of
-    ``D_i Y_i`` stacked to shape ``(2, r, 2n + 1, r', n + 1)``, the latter
-    with the derivative ``D_i`` of the other factor folded in."""
-    doubled = space.with_degrees([2 * (m - 1) for m in y.mode_sizes])
-    kernels = []
-    for core, bs in zip(y.cores, _space_bases(y, space)):
-        prod, dx = product_tensor(bs), derivative_matrix(bs)
-        kernels.append(np.stack([_product_kernel(core, prod),
-                                 _product_kernel(mode_apply(dx, core), prod @ dx)]))
-    return doubled, kernels
-
-
 @dataclass(frozen=True)
 class StiffnessSide:
     """The fixed state ``Y`` of the linearized operator ``H_Y`` with the
-    per-mode data every application of ``H_Y`` reuses.
+    per-mode data every application of ``H_Y`` and of the nonlinearity
+    linearized at ``Y`` reuses.
 
-    Per dimension ``i``, ``stiffness[i]`` stacks the rows of both product
-    kernels of :func:`_stacked_kernels` at output degrees ``<= n``, followed
-    by the ``n + 1`` rows of the OU generator matrix, so one matrix product
-    per mode gives every block of ``H_Y a``.
+    Per dimension ``i``, ``kernels[i]`` stacks the product kernels (see
+    :func:`_product_kernel`) of ``Y_i`` and of ``D_i Y_i`` to shape
+    ``(2, r, 2n + 1, r', n + 1)``, the latter with the derivative ``D_i`` of
+    the other factor folded in.  ``stiffness[i]`` stacks the rows of both at
+    output degrees ``<= n``, followed by the ``n + 1`` rows of the OU
+    generator matrix, so one matrix product per mode gives every block of
+    ``H_Y a``.
     """
 
     y: TensorTrain
+    kernels: tuple[np.ndarray, ...]
     stiffness: tuple[np.ndarray, ...]
 
 
 def prepare_stiffness(y: TensorTrain, space: PolySpace) -> StiffnessSide:
-    """Compute ``y``'s side of :func:`apply_stiffness` once, for reuse by
-    every application of the operator linearized at ``y``."""
-    _, kernels = _stacked_kernels(y, space)
-    stiffness = []
-    for kernel, bs in zip(kernels, _space_bases(y, space)):
-        m = kernel.shape[-1]
+    """Compute ``y``'s side of :func:`apply_stiffness` and
+    :func:`apply_nonlin_linearized` once, for reuse by every application of
+    an operator linearized at ``y``."""
+    kernels, stiffness = [], []
+    for core, bs in zip(y.cores, _space_bases(y, space)):
+        prod, dx = product_tensor(bs), derivative_matrix(bs)
+        kernel = np.stack([_product_kernel(core, prod),
+                           _product_kernel(mode_apply(dx, core), prod @ dx)])
+        m = core.shape[1]
+        kernels.append(kernel)
         stiffness.append(np.concatenate([kernel[:, :, :m].reshape(-1, m),
                                          ou_generator_matrix(bs)]))
-    return StiffnessSide(y=y, stiffness=tuple(stiffness))
+    return StiffnessSide(y=y, kernels=tuple(kernels), stiffness=tuple(stiffness))
 
 
-def apply_nonlin_linearized(b: TensorTrain, a: TensorTrain,
+def apply_nonlin_linearized(b: TensorTrain | StiffnessSide, a: TensorTrain,
                             space: PolySpace) -> tuple[TensorTrain, PolySpace]:
     """Coefficients of ``-<grad v_b, grad v_a>`` at doubled degrees.
 
-    Built as a Laplace-like sum of per-dimension products of the two
-    derivative TTs; interior ranks are exactly ``2 r_a r_b``.
+    ``b`` is a TT or prepared by :func:`prepare_stiffness` (a TT is prepared
+    on the spot).  Built as a Laplace-like sum of per-dimension products of
+    the two derivative TTs; interior ranks are exactly ``2 r_a r_b``.
     """
-    if a.mode_sizes != b.mode_sizes:
+    side = b if isinstance(b, StiffnessSide) else prepare_stiffness(b, space)
+    if a.mode_sizes != side.y.mode_sizes:
         raise ValueError("arguments must share mode sizes")
-    doubled, kernels = _stacked_kernels(b, space)
     base, replaced = [], []
-    for core, kernel, bc in zip(a.cores, kernels, b.cores):
+    for core, kernel, bc in zip(a.cores, side.kernels, side.y.cores):
         prod = _pair_bonds(kernel.reshape(-1, core.shape[1]) @ _mode_major(core),
                            bc.shape, kernel.shape[2], core.shape)
         base.append(prod[0])
         replaced.append(prod[1])
+    doubled = space.with_degrees([2 * (m - 1) for m in a.mode_sizes])
     return tt_scale(laplace_like_sum(base, replaced), -1.0), doubled
 
 

@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import os
 import re
 import subprocess
 import sys
@@ -382,7 +383,7 @@ class TestSampleCommand:
         assert lines[0] == "x1,x2,flags"
         assert len(lines) == 65
         meta = json.loads((out / "sample_metadata.json").read_text())
-        assert meta["normal_transform"] == "inverse_cdf"
+        assert meta["normal_transform"] == "ziggurat"
 
     def test_zero_particles_header_only(self, solved):
         assert main(["sample", str(solved), "--particles", "0"]) == 0
@@ -492,6 +493,22 @@ class TestSampleCommand:
         err = capsys.readouterr().err
         assert err == "cannot sample: 64 of 64 particles diverged (> 10%)\n"
         assert not (solved.parent / "samples.csv").exists()
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_divergence_prints_one_line(self, solved, blocks):
+        """In a fresh interpreter, where numpy's warnings reach stderr, the
+        overflowing particles print nothing beside the message, in this
+        process or in a forked block."""
+        script = ("import sys; from tthjb import sample; from tthjb.cli import main; "
+                  f"sample.MIN_BLOCK = 1; sample._usable_cpus = lambda: {blocks}; "
+                  "sys.exit(main(sys.argv[1:]))")
+        out = subprocess.run(
+            [sys.executable, "-c", script, "sample", str(solved),
+             "--langevin-steps", "1", "--langevin-tau", "1e300"],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True)
+        assert out.returncode == 1
+        assert out.stderr == "cannot sample: 64 of 64 particles diverged (> 10%)\n"
 
     def test_failed_worker_exits_1(self, solved, capsys, monkeypatch):
         import tthjb.sample as sample

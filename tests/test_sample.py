@@ -7,7 +7,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 from tthjb import sample
 from tthjb.basis import PolySpace
@@ -437,17 +436,47 @@ def poison_block(monkeypatch, first_row, action):
 class TestParticleBlocks:
     """The particle rows split into forked blocks without changing a bit."""
 
-    # with d = 3, rows 0, 3, 2 and 1 start 0, 1, 2 and 3 words into a
-    # Philox counter step (lo * d % 4)
-    @pytest.mark.parametrize("lo", [0, 1, 2, 3, 5, 6, 7, 399, 400])
+    # 0, 1, 499, 500, 501, n - 1 and n sit on both sides of the chunk edges
+    # of n = 1001 rows; the others are rows inside the first chunk
+    @pytest.mark.parametrize("lo", [0, 1, 2, 3, 5, 6, 7, 399, 400, 499, 500, 501,
+                                    1000, 1001])
     def test_normals_rows_equal_the_full_draw(self, lo):
-        shape = (401, 3)
+        shape = (1001, 3)
+        full = _normals(77, 5, shape)
+        assert full.shape == shape
+        for hi in (lo, lo + 1, 499, 500, 501, 1000, 1001):
+            if lo <= hi <= shape[0]:
+                np.testing.assert_array_equal(_normals(77, 5, shape, lo, hi),
+                                              full[lo:hi])
+
+    def test_normals_of_no_rows(self):
+        assert _normals(3, 1, (0, 4)).shape == (0, 4)
+
+    def test_normals_chunks_are_the_philox_ziggurat_draws(self):
+        """Chunk ``c`` of stream ``(seed, stream)`` is the ziggurat draw at
+        Philox counter ``[0, 0, c, 0]``; a short last chunk draws its rows."""
+        full = _normals(77, 5, (1001, 3))
         key = np.array([77, 5], dtype=np.uint64)
-        u = np.random.Generator(np.random.Philox(key=key)).random(shape)
-        full = ndtri(np.maximum(u, 2.0 ** -54))
-        np.testing.assert_array_equal(_normals(77, 5, shape), full)
-        for hi in (lo, lo + 1, 401):
-            np.testing.assert_array_equal(_normals(77, 5, shape, lo, hi), full[lo:hi])
+        for c, rows in [(0, 500), (1, 500), (2, 1)]:
+            counter = np.array([0, 0, c, 0], dtype=np.uint64)
+            bits = np.random.Philox(key=key, counter=counter)
+            np.testing.assert_array_equal(
+                full[500 * c:500 * c + rows],
+                np.random.Generator(bits).standard_normal((rows, 3)))
+
+    def test_normals_moments(self):
+        """Mean, variance and fourth moment of 10^6 draws within 5 standard
+        errors of 0, 1 and 3 (the draws' variances are 1, 2 and 96)."""
+        x = _normals(2024, 9, (250_000, 4)).ravel()
+        se = np.sqrt(np.array([1.0, 2.0, 96.0]) / x.size)
+        moments = np.array([x.mean(), (x ** 2).mean(), (x ** 4).mean()])
+        assert np.all(np.abs(moments - [0.0, 1.0, 3.0]) <= 5 * se)
+
+    def test_normals_differ_across_chunks_and_streams(self):
+        a = _normals(11, 1, (1000, 2))
+        assert not np.any(a[:500] == a[500:])
+        assert not np.any(a == _normals(11, 2, (1000, 2)))
+        assert not np.any(a == _normals(12, 1, (1000, 2)))
 
     @pytest.mark.parametrize("n,cpus,sizes", [
         (1999, 3, [666, 666, 667]), (1000, 3, [500, 500]), (999, 3, [999]),
