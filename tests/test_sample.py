@@ -183,6 +183,49 @@ class TestParticleLastKernel:
                                       grad_v_batch(snap, space, xs))
 
 
+class TestScoreWorkspace:
+    """One workspace serves kernels of any degree and rank up to its own."""
+
+    # mode sizes and ranks falling, then rising past the first kernel in
+    # some modes, as along a solve's degree and rank adaptation
+    SHAPES = [((7, 5, 6, 4), (1, 4, 3, 2, 1)), ((3, 2, 3, 1), (1, 1, 2, 1, 1)),
+              ((1, 1, 1, 1), (1, 1, 1, 1, 1)), ((5, 7, 2, 6), (1, 3, 4, 3, 1))]
+
+    @staticmethod
+    def kernels(space, rng):
+        return [prepare_score(SolutionSnapshot(0.0, tt_random(sizes, ranks, rng)), space)
+                for sizes, ranks in TestScoreWorkspace.SHAPES]
+
+    @staticmethod
+    def buffers(work):
+        return [work.coords, work.term, work.table, *work.cores, work.envs, work.ones,
+                work.grad]
+
+    def test_reused_workspace_is_bitwise_fresh_calls(self):
+        rng = np.random.default_rng(18)
+        space = PolySpace([(-5.0, 5.0), (-1.0, 2.0), (0.0, 1.0), (-3.0, 3.0)], [6] * 4)
+        kernels = self.kernels(space, rng)
+        work = sample.ScoreWorkspace(kernels, space, 301)
+        for i in [0, 1, 2, 3, 1, 0, 3]:
+            xs = rng.uniform(-4.0, 4.0, (301, 4))
+            got = grad_v_batch(kernels[i], space, xs, work=work)
+            assert any(np.shares_memory(got, buf) for buf in self.buffers(work))
+            want = grad_v_batch(kernels[i], space, xs)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_call_without_workspace_returns_its_own_array(self):
+        rng = np.random.default_rng(19)
+        space = PolySpace([(-5.0, 5.0), (-1.0, 2.0), (0.0, 1.0), (-3.0, 3.0)], [6] * 4)
+        kernels = self.kernels(space, rng)
+        work = sample.ScoreWorkspace(kernels, space, 64)
+        xs = rng.uniform(-4.0, 4.0, (64, 4))
+        grad_v_batch(kernels[0], space, xs, work=work)
+        for kernel in kernels:
+            got = grad_v_batch(kernel, space, xs)
+            assert not any(np.shares_memory(got, buf) for buf in self.buffers(work))
+            assert not np.shares_memory(got, xs)
+
+
 class TestCovarianceError:
     def test_zero_at_standard_normal(self):
         space, snap = standard_half_norm(4)
@@ -284,6 +327,118 @@ class TestScoredSampler:
             reverse_sample_scored(lambda s, z: z, [0.0, 0.0, 1.0], 2, scfg)
 
 
+def reference_rows(grad_fn, times, d, scfg):
+    """The sampler loop with a new array per update and the ``np.where``
+    freeze pass on every update, drawing whole normal blocks.  Returns the
+    final states, the frozen flags and the frozen count per reverse step."""
+    shape = (scfg.n_particles, d)
+    z = _normals(scfg.seed, 0, shape)
+    aborted = np.zeros(shape[0], dtype=bool)
+
+    def apply(update):
+        nonlocal z
+        nxt = np.where(aborted[:, None], z, update)
+        bad = ~np.all(np.isfinite(nxt), axis=1) & ~aborted
+        nxt[bad] = z[bad]
+        aborted[bad] = True
+        z = nxt
+
+    stream, frozen = 1, []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(times.size - 1):
+            tau, s = times[n + 1] - times[n], times[-1] - times[n]
+            drift = z + (z - (2.0 - scfg.lam) * grad_fn(s, z)) * tau
+            if scfg.lam != 1.0:
+                xi = _normals(scfg.seed, stream, shape)
+                stream += 1
+                drift = drift + np.sqrt(2.0 * (1.0 - scfg.lam) * tau) * xi
+            apply(drift)
+            for _ in range(scfg.langevin_steps):
+                g = grad_fn(s, z)
+                xi = _normals(scfg.seed, stream, shape)
+                stream += 1
+                apply(z - scfg.langevin_tau * g + np.sqrt(2.0 * scfg.langevin_tau) * xi)
+            frozen.append(int(aborted.sum()))
+    return z, aborted, frozen
+
+
+def poisoned(grad_fn, times, poison, start=0, states=None):
+    """``grad_fn`` with the rows ``poison[(n, c)]`` (numbered from 0 over
+    all blocks; this block starts at row ``start``) set to inf on call
+    ``c`` of reverse step ``n``.  Appends a copy of every state to
+    ``states`` when given."""
+    step = {times[-1] - t: n for n, t in enumerate(times[:-1])}
+    calls = []
+
+    def score(s, z):
+        n = step[s]
+        c = calls.count(n)
+        calls.append(n)
+        if states is not None:
+            states.append(z.copy())
+        g = grad_fn(s, z)
+        g[[r - start for r in poison.get((n, c), ()) if start <= r < start + len(z)]] = np.inf
+        return g
+
+    return score
+
+
+class TestFrozenParticles:
+    """The update skips the freeze pass while no particle is frozen; the
+    samples equal those of the loop that always runs it."""
+
+    # reverse step 3; a Langevin step of step 5 (in the second of two
+    # blocks of 150); then three more in step 6, one already frozen
+    POISON = {(3, 0): [5], (5, 1): [170], (6, 0): [5, 40, 200]}
+    FROZEN = [0, 0, 0, 1, 1, 2, 4, 4, 4, 4]
+
+    def check(self, samples, aborted, frozen, times, score, scfg, d):
+        states = []
+        want, want_aborted, want_frozen = reference_rows(
+            poisoned(score, times, self.POISON, states=states), times, d, scfg)
+        assert frozen == want_frozen == self.FROZEN
+        np.testing.assert_array_equal(aborted, want_aborted)
+        assert np.flatnonzero(aborted).tolist() == [5, 40, 170, 200]
+        assert samples.tobytes() == want.tobytes()
+        # the state of the last call before the first non-finite update
+        per_step = 1 + scfg.langevin_steps
+        for row, call in [(5, 3 * per_step), (170, 5 * per_step + 1),
+                          (40, 6 * per_step), (200, 6 * per_step)]:
+            assert samples[row].tobytes() == states[call][row].tobytes()
+        assert not np.array_equal(samples[5], states[3 * per_step - 1][5])
+
+    def test_scored_sampler(self):
+        times = np.linspace(0.0, 1.0, 11)
+
+        def score(s, z):
+            return 2.0 * riccati_reference(0.4, s) * z
+
+        scfg = SamplerConfig(n_particles=300, langevin_steps=1, seed=21)
+        states = []
+        batch = reverse_sample_scored(poisoned(score, times, self.POISON, states=states),
+                                      times, 2, scfg)
+        assert len(states) == 20
+        self.check(batch.samples, batch.aborted, batch.metadata["frozen_per_step"],
+                   times, score, scfg, 2)
+
+    def test_two_blocks(self, workers, monkeypatch):
+        space, traj, cfg = box_trajectory()
+        real_rows = sample._reverse_rows
+
+        def rows(grad_fn, times, d, scfg, start, stop):
+            return real_rows(poisoned(grad_fn, times, self.POISON, start),
+                             times, d, scfg, start, stop)
+
+        monkeypatch.setattr(sample, "_reverse_rows", rows)
+        workers(2)
+        scfg = SamplerConfig(n_particles=300, langevin_steps=1, seed=21)
+        batch = reverse_sample(traj, space, scfg, cfg)
+        kernel = prepare_score(traj.snapshots[0], space)    # every snapshot's
+        self.check(batch.samples, batch.aborted, batch.metadata["frozen_per_step"],
+                   np.array(batch.metadata["times"]),
+                   lambda s, z: grad_v_batch(kernel, space, z), scfg, 2)
+
+
 class TestTrajectorySampler:
     @pytest.fixture(scope="class")
     @classmethod
@@ -380,9 +535,9 @@ class TestDomainClamp:
                 return grad_fn(s, z)
             return real_rows(recording, times, d, scfg, start, stop)
 
-        def grad(snap, space, xs):
+        def grad(snap, space, xs, **kw):
             points.append(xs.copy())
-            return real_grad(snap, space, xs)
+            return real_grad(snap, space, xs, **kw)
 
         monkeypatch.setattr(sample, "_reverse_rows", scored)
         monkeypatch.setattr(sample, "grad_v_batch", grad)
@@ -478,6 +633,24 @@ class TestParticleBlocks:
         assert not np.any(a == _normals(11, 2, (1000, 2)))
         assert not np.any(a == _normals(12, 1, (1000, 2)))
 
+    # partial first and last chunks, whole chunks, one row and no rows
+    @pytest.mark.parametrize("n,lo,hi", [(1001, 250, 1001), (1001, 0, 1000),
+                                         (1001, 499, 501), (1001, 1000, 1001),
+                                         (2000, 667, 1334), (0, 0, 0), (1001, 700, 700)])
+    def test_reused_generator_draws_the_fresh_rows(self, n, lo, hi):
+        """One generator and one buffer, re-keyed per stream in any order,
+        draw what fresh ones do."""
+        shape = (n, 3)
+        rng = np.random.Generator(np.random.Philox())
+        out = np.empty((sample._chunk_rows(n, lo, hi)[1], 3))
+        for seed, stream in [(7, 3), (7, 1), (7, 3), (8, 3), (7, 3), (8, 1), (7, 1)]:
+            got = _normals(seed, stream, shape, lo, hi, rng, out)
+            assert got.shape == (hi - lo, 3)
+            assert got.size == 0 or np.shares_memory(got, out)
+            want = _normals(seed, stream, shape, lo, hi)
+            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == _normals(seed, stream, shape)[lo:hi].tobytes()
+
     @pytest.mark.parametrize("n,cpus,sizes", [
         (1999, 3, [666, 666, 667]), (1000, 3, [500, 500]), (999, 3, [999]),
         (5000, 1, [5000]), (0, 2, [0])])
@@ -495,8 +668,8 @@ class TestParticleBlocks:
         space, traj, cfg = box_trajectory()
         real_grad = sample.grad_v_batch
 
-        def grad(snap, space, xs):      # freezes a particle by its own state
-            g = real_grad(snap, space, xs)
+        def grad(snap, space, xs, **kw):    # freezes a particle by its own state
+            g = real_grad(snap, space, xs, **kw)
             g[np.hypot(xs[:, 0], xs[:, 1]) < 0.04] = np.inf
             return g
 
