@@ -4,10 +4,9 @@ of an Ornstein-Uhlenbeck noising process, with score-based sampling."""
 from .basis import LegendreBasis, PolySpace, build_basis, derivative_matrix, \
     ou_generator_matrix
 from .integrate import (SolutionSnapshot, SolverConfig, Trajectory,
-                        degree_truncate, euler_step, evaluate_at_time,
-                        power_iteration_bound, rank_adapt, solve_hjb,
-                        stepsize_projection, stepsize_retraction,
-                        stepsize_stiffness)
+                        degree_truncate, euler_step, power_iteration_bound,
+                        rank_adapt, solve_hjb, stepsize_projection,
+                        stepsize_retraction, stepsize_stiffness)
 from .operators import (PotentialSpec, PotentialTerm, apply_lin, apply_nonlin,
                         apply_nonlin_linearized, apply_partial, apply_stiffness,
                         build_potential_tt, covariance_error, extract_quadratic,
@@ -26,9 +25,8 @@ __all__ = [
     "LegendreBasis", "PolySpace", "build_basis", "derivative_matrix",
     "ou_generator_matrix",
     "SolutionSnapshot", "SolverConfig", "Trajectory", "degree_truncate",
-    "euler_step", "evaluate_at_time", "power_iteration_bound", "rank_adapt",
-    "solve_hjb", "stepsize_projection", "stepsize_retraction",
-    "stepsize_stiffness",
+    "euler_step", "power_iteration_bound", "rank_adapt", "solve_hjb",
+    "stepsize_projection", "stepsize_retraction", "stepsize_stiffness",
     "PotentialSpec", "PotentialTerm", "apply_lin", "apply_nonlin",
     "apply_nonlin_linearized", "apply_partial", "apply_stiffness",
     "build_potential_tt", "covariance_error", "extract_quadratic",

@@ -241,6 +241,10 @@ def _diag_line(rec: dict, timings: bool) -> str:
 
 
 def cmd_solve(config_path: str, stride: int = 1, timings: bool = False) -> int:
+    if stride < 1:
+        print(f"invalid solve option: --stride: expected an integer >= 1, got {stride}",
+              file=sys.stderr)
+        return 1
     try:
         with open(config_path, "rb") as fh:
             raw = fh.read()
@@ -549,8 +553,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "solve":
-        return cmd_solve(args.config, stride=max(1, args.stride),
-                         timings=args.timings)
+        return cmd_solve(args.config, stride=args.stride, timings=args.timings)
     if args.command == "sample":
         return cmd_sample(args.manifest, particles=args.particles, lam=args.lam,
                           langevin_steps=args.langevin_steps,

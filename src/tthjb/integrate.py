@@ -20,7 +20,7 @@ from .basis import PolySpace
 from .operators import (StiffnessSide, apply_lin, apply_nonlin_linearized,
                         apply_stiffness, covariance_error, prepare_stiffness,
                         project_degree, projection_norms)
-from .tt import (TensorTrain, check_finite, right_orthogonalize, tt_add_scaled, tt_centres,
+from .tt import (TensorTrain, check_finite, tt_add_scaled, tt_centres,
                  tt_inner, tt_norm, tt_random, tt_round, tt_round_sketched,
                  tt_round_with_error, tt_scale)
 
@@ -297,43 +297,49 @@ def stepsize_projection(y: SolutionSnapshot, space: PolySpace,
 
 
 def _retraction_rel_err(y: TensorTrain, rhs: TensorTrain, tau: float,
-                        target_ranks) -> tuple[float, TensorTrain]:
-    """Relative error of retracting ``y + tau rhs`` to ``target_ranks``, and
-    that sum right-orthogonalized (a rounding of it skips its own sweep)."""
-    ybar = right_orthogonalize(tt_add_scaled(y, rhs, tau))
-    return tt_round_with_error(ybar, max_ranks=target_ranks)[1], ybar
+                        target_ranks, delta_contr: float) -> tuple[TensorTrain, float]:
+    """The step's retraction: ``y + tau rhs`` rounded to ``target_ranks`` at
+    relative ``delta_contr``, and its relative Frobenius error."""
+    return tt_round_with_error(tt_add_scaled(y, rhs, tau), tol=delta_contr,
+                               max_ranks=target_ranks)
 
 
 def stepsize_retraction(y: SolutionSnapshot, rhs: TensorTrain, target_ranks,
                         tau_init: float, cfg: SolverConfig,
-                        tau_cap: float | None = None,
-                        last: dict | None = None) -> float:
-    """Largest step in (0, tau_cap] whose rank retraction stays below
-    delta_rank in relative Frobenius norm.
+                        tau_cap: float | None = None) -> tuple[float, SolutionSnapshot]:
+    """Largest step in (0, tau_cap] whose retraction stays below delta_rank
+    in relative Frobenius norm, and the step it takes.
 
-    ``tau_init`` seeds the search (the previously accepted step in the solve
-    loop); ``tau_cap`` defaults to it.  From the seed the search halves until
-    satisfied (or doubles up to the cap while satisfied), then bisects
-    between the best satisfying step and the nearest failing one to relative
-    width 1e-2 (at most 20 bisections) and returns the best satisfying value.
-    A ``last`` dict receives ``{tau: ybar}`` for the last step evaluated,
-    ``ybar = y + tau rhs`` right-orthogonalized.
+    The retraction judged is the one the step takes: ``y + tau rhs`` rounded
+    to ``target_ranks`` at relative ``cfg.delta_contr``.  ``tau_init`` seeds
+    the search (the previously accepted step in the solve loop); ``tau_cap``
+    defaults to it.  From the seed the search halves until satisfied (or
+    doubles up to the cap while satisfied), then bisects between the best
+    satisfying step and the nearest failing one to relative width 1e-2 (at
+    most 20 bisections) and returns the best satisfying value, which it has
+    evaluated last among the satisfying ones, with its rounding.
     """
     if tau_init <= 0:
         raise ValueError("tau_init must be positive")
     if tau_cap is None:
         tau_cap = tau_init
     tau_init = min(tau_init, tau_cap)
-    if last is None:
-        last = {}
+    kept = None
 
     def ok(tau):
-        last.clear()  # drop the previous sum before forming the next
-        err, last[tau] = _retraction_rel_err(y.coeffs, rhs, tau, target_ranks)
-        return err <= cfg.delta_rank
+        nonlocal kept
+        rounded, err = _retraction_rel_err(y.coeffs, rhs, tau, target_ranks,
+                                           cfg.delta_contr)
+        if err > cfg.delta_rank:
+            return False
+        kept = rounded
+        return True
+
+    def step(tau):
+        return tau, SolutionSnapshot(t=y.t + tau, coeffs=kept)
 
     if ok(tau_cap):
-        return tau_cap
+        return step(tau_cap)
     lo = tau_init
     if lo < tau_cap and ok(lo):
         hi = min(2.0 * lo, tau_cap)
@@ -357,22 +363,12 @@ def stepsize_retraction(y: SolutionSnapshot, rhs: TensorTrain, target_ranks,
             lo = mid
         else:
             hi = mid
-    return lo
+    return step(lo)
 
 
 # ----------------------------------------------------------------------
 # One Euler step and the re-compression stages
 # ----------------------------------------------------------------------
-
-def _euler_from_rhs(y: SolutionSnapshot, rhs: TensorTrain, tau: float,
-                    target_ranks, delta_contr: float,
-                    ybar: TensorTrain | None = None) -> SolutionSnapshot:
-    """Round ``y + tau rhs``; ``ybar`` is that sum if already formed."""
-    if ybar is None:
-        ybar = tt_add_scaled(y.coeffs, rhs, tau)
-    rounded = tt_round(ybar, tol=delta_contr, max_ranks=target_ranks)
-    return SolutionSnapshot(t=y.t + tau, coeffs=rounded)
-
 
 def euler_step(y: SolutionSnapshot, tau: float, target_ranks,
                space: PolySpace, delta_contr: float = 0.0) -> SolutionSnapshot:
@@ -384,7 +380,8 @@ def euler_step(y: SolutionSnapshot, tau: float, target_ranks,
     if tau < 0:
         raise ValueError("tau must be non-negative")
     rhs, _ = _step_quantities(y, space)
-    return _euler_from_rhs(y, rhs, tau, target_ranks, delta_contr)
+    rounded, _ = _retraction_rel_err(y.coeffs, rhs, tau, target_ranks, delta_contr)
+    return SolutionSnapshot(t=y.t + tau, coeffs=rounded)
 
 
 def degree_truncate(y: SolutionSnapshot, delta_contr: float,
@@ -473,20 +470,15 @@ def solve_hjb(phi: TensorTrain, space: PolySpace, cfg: SolverConfig) -> Trajecto
             tau_cap = min(cfg.tau_max, tau_lambda, tau_proj, remaining)
             tau_init = min(tau_prev if tau_prev is not None else cfg.tau_max,
                            tau_cap)
-            last = {}
-            tau_rank = stepsize_retraction(snap, rhs, target, tau_init, cfg,
-                                           tau_cap=tau_cap, last=last)
+            tau, new = stepsize_retraction(snap, rhs, target, tau_init, cfg,
+                                           tau_cap=tau_cap)
             bounds = {"tau_max": cfg.tau_max, "stiffness": tau_lambda,
                       "projection": tau_proj, "horizon": remaining}
-            binding = "rank" if tau_rank < tau_cap else min(bounds, key=bounds.get)
-            tau = min(tau_cap, tau_rank)
+            binding = "rank" if tau < tau_cap else min(bounds, key=bounds.get)
             # a criterion-forced collapse aborts; a float-dust sliver left
             # over from reaching the horizon does not
             if tau < 1e-12 * cfg.T and tau < remaining:
                 raise StepUnderflowError(f"step size underflow at t={t}: tau={tau}")
-            # the search usually ends on the accepted step: reuse its sum
-            new = _euler_from_rhs(snap, rhs, tau, target, cfg.delta_contr,
-                                  last.pop(tau, None))
             new = degree_truncate(new, cfg.delta_contr, space)
             new = rank_adapt(new, r0, cfg.delta_contr)
             if tau == remaining:
@@ -501,22 +493,8 @@ def solve_hjb(phi: TensorTrain, space: PolySpace, cfg: SolverConfig) -> Trajecto
         t = snap.t
         traj.snapshots.append(snap)
         traj.diagnostics.append(_diag_record(
-            step, snap, tau, tau_lambda, tau_proj, tau_rank, lambda_bar,
+            step, snap, tau, tau_lambda, tau_proj, tau, lambda_bar,
             power_iters, power.converged, binding, space, wall_ms))
         tau_prev = tau
     return traj
 
-
-def evaluate_at_time(traj: Trajectory, t_star: float, space: PolySpace,
-                     cfg: SolverConfig) -> SolutionSnapshot:
-    """Snapshot at an arbitrary time: the stored one if ``t_star`` is on the
-    grid, otherwise one Euler step from the nearest stored time below."""
-    times = traj.times
-    if not times or not times[0] <= t_star <= times[-1]:
-        raise ValueError(f"t={t_star} outside the stored range")
-    idx = int(np.searchsorted(np.asarray(times), t_star, side="right")) - 1
-    base = traj.snapshots[idx]
-    if base.t == t_star:
-        return base
-    target = np.maximum(base.coeffs.interior_ranks, 2).tolist()
-    return euler_step(base, t_star - base.t, target, space, cfg.delta_contr)

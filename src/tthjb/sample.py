@@ -36,7 +36,7 @@ import numpy as np
 from numpy._core.multiarray import c_einsum
 
 from .basis import PolySpace, derivative_matrix
-from .integrate import SolverConfig, SolutionSnapshot, Trajectory, evaluate_at_time
+from .integrate import SolverConfig, SolutionSnapshot, Trajectory
 
 NORMAL_TRANSFORM = "ziggurat"  # recorded in run metadata
 # Rows per normal chunk, each drawn from its own Philox counter.  It fixes
@@ -489,13 +489,12 @@ def reverse_sample_scored(grad_fn, times, d: int, scfg: SamplerConfig) -> Sample
 
 
 def reverse_sample(traj: Trajectory, space: PolySpace, scfg: SamplerConfig,
-                   cfg: SolverConfig, times=None) -> SampleBatch:
+                   cfg: SolverConfig) -> SampleBatch:
     """Sample the target density from a completed solve.
 
-    Defaults to the solver grid reversed (``t_n = T - t_{N-n}``, shared by
-    all particles); a custom increasing grid on ``[0, T]`` may be supplied,
-    off-grid times are bridged with single Euler steps before the first
-    reverse step.  Out-of-domain basis evaluations are counted per
+    The sampling grid is the solver grid reversed (``t_n = T - t_{N-n}``,
+    shared by all particles), and reverse step ``n`` scores with snapshot
+    ``N - n``.  Out-of-domain basis evaluations are counted per
     particle; when ``clamp_to_domain`` is set, score evaluations use the
     coordinates projected onto the hypercube instead (the particle state is
     untouched) and the counts stay 0.  ``out_of_domain_per_step`` in the
@@ -507,20 +506,13 @@ def reverse_sample(traj: Trajectory, space: PolySpace, scfg: SamplerConfig,
     """
     if not traj.is_complete(cfg.T):
         raise ValueError(f"trajectory did not reach the horizon T={cfg.T}")
-    snaps: dict[float, SolutionSnapshot] = {s.t: s for s in traj.snapshots}
-    if times is None:
-        horizon = traj.snapshots[-1].t
-        times = np.asarray([horizon - s.t for s in reversed(traj.snapshots)])
-        # Step n asks for diffusion time times[-1] - times[n], which is
-        # t_{N-n} only up to round-off; key snapshot N-n by that exact float.
-        snaps.update((times[-1] - tn, snap)
-                     for tn, snap in zip(times, reversed(traj.snapshots)))
-    times = _sampling_grid(times)
-    steps = times[-1] - times[:-1]          # the diffusion time of each step
-    for s in steps:
-        if s not in snaps:
-            snaps[s] = evaluate_at_time(traj, s, space, cfg)
-    kernels = {s: prepare_score(snaps[s], space) for s in steps}
+    horizon = traj.snapshots[-1].t
+    times = _sampling_grid([horizon - s.t for s in reversed(traj.snapshots)])
+    # Step n asks for diffusion time times[-1] - times[n], which is t_{N-n}
+    # only up to round-off; key snapshot N-n's kernel by that exact float.
+    steps = times[-1] - times[:-1]
+    kernels = {s: prepare_score(snap, space)
+               for s, snap in zip(steps, reversed(traj.snapshots))}
     d = traj.snapshots[0].coeffs.d
     lo, hi = np.array(space.intervals).T
 

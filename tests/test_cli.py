@@ -353,6 +353,14 @@ class TestSolveCommand:
         manifest = json.loads((tmp_path / "runs" / "manifest.json").read_text())
         assert len(manifest["files"]) < len(manifest["times"])
 
+    @pytest.mark.parametrize("stride", ["0", "-3"])
+    def test_stride_below_one_exits_1(self, tmp_path, capsys, stride):
+        path, _ = gaussian_config(tmp_path, out="runs")
+        assert main(["solve", str(path), "--stride", stride]) == 1
+        err = capsys.readouterr().err
+        assert err == f"invalid solve option: --stride: expected an integer >= 1, got {stride}\n"
+        assert not (tmp_path / "runs").exists()
+
     def test_non_finite_state_exits_2(self, tmp_path, poisoned_rank_adapt, capsys):
         path, _ = gaussian_config(tmp_path, out="runnan")
         assert main(["solve", str(path)]) == 2

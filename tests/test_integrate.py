@@ -1,15 +1,16 @@
 """Adaptive Euler solver: step-size criteria, re-compression, full solves."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from tthjb import integrate
+from tthjb import integrate, tt
 from tthjb.basis import PolySpace
 from tthjb.integrate import (PowerState, RankBudgetError, SolutionSnapshot, SolverConfig,
                              Trajectory, degree_truncate, euler_step,
-                             evaluate_at_time, power_iteration_bound,
+                             power_iteration_bound,
                              rank_adapt, solve_hjb, stepsize_projection,
                              stepsize_retraction, stepsize_stiffness,
                              _step_quantities)
@@ -17,8 +18,8 @@ from tthjb.operators import (PotentialSpec, PotentialTerm, apply_stiffness,
                              build_potential_tt, covariance_error, extract_quadratic,
                              prepare_stiffness)
 from tthjb.oracles import dense_nonlin, gaussian_eigen_bound, riccati_reference
-from tthjb.tt import (right_orthogonalize, tt_add_scaled, tt_centres, tt_from_dense,
-                      tt_norm, tt_random, tt_to_dense)
+from tthjb.tt import (tt_add_scaled, tt_centres, tt_from_dense, tt_norm, tt_random,
+                      tt_round, tt_to_dense)
 
 
 def gaussian_setup(d, seed, intervals=(-5.0, 5.0)):
@@ -226,7 +227,7 @@ class TestStepsizeRules:
         rhs, _ = _step_quantities(snap, space)
         # ranks of phi itself as budget: rhs of a quadratic state stays
         # quadratic, so a generous budget makes the retraction exact.
-        tau = stepsize_retraction(snap, rhs, [9], 0.05, cfg)
+        tau, _ = stepsize_retraction(snap, rhs, [9], 0.05, cfg)
         assert tau == 0.05
 
     def test_retraction_loose_tolerance_returns_cap(self):
@@ -236,7 +237,7 @@ class TestStepsizeRules:
         snap = SolutionSnapshot(0.0, y)
         rhs, _ = _step_quantities(snap, space)
         cfg = SolverConfig(T=1, tau_max=0.1, delta_rank=1.0)  # always satisfied
-        assert stepsize_retraction(snap, rhs, [1], 0.07, cfg) == 0.07
+        assert stepsize_retraction(snap, rhs, [1], 0.07, cfg)[0] == 0.07
 
     def test_retraction_bisection_near_scan_optimum(self):
         # d=2 matrix case: compare against a dense scan of the retraction
@@ -247,7 +248,7 @@ class TestStepsizeRules:
         snap = SolutionSnapshot(0.0, y)
         rhs, _ = _step_quantities(snap, space)
         cfg = SolverConfig(T=1, tau_max=1.0, delta_rank=0.02)
-        got = stepsize_retraction(snap, rhs, [2], 1.0, cfg)
+        got, _ = stepsize_retraction(snap, rhs, [2], 1.0, cfg)
 
         def rel_retr(tau):
             from tthjb.tt import tt_add_scaled, tt_round
@@ -271,50 +272,97 @@ class TestStepsizeRules:
         taus = []
         rel_err = integrate._retraction_rel_err
 
-        def recording(y, rhs, tau, target_ranks):
+        def recording(y, rhs, tau, target_ranks, delta_contr):
             taus.append(tau)
-            return rel_err(y, rhs, tau, target_ranks)
+            return rel_err(y, rhs, tau, target_ranks, delta_contr)
 
         monkeypatch.setattr(integrate, "_retraction_rel_err", recording)
-        got = stepsize_retraction(snap, rhs, [2], tau_init, cfg, tau_cap=1.0)
+        got, _ = stepsize_retraction(snap, rhs, [2], tau_init, cfg, tau_cap=1.0)
         assert 1e-3 < got < 1.0  # the search doubled or halved, then bisected
         assert len(taus) == len(set(taus)), taus
 
     @pytest.mark.parametrize("tau_init", [1e-4, 1.0], ids=["doubling", "halving"])
     def test_retraction_hands_over_its_last_sum(self, tau_init):
+        """The search hands over the step it accepted: the sum at the
+        returned step rounded to the caps at delta_contr."""
         space = PolySpace([(-2, 2)] * 3, [3, 3, 3])
         y = tt_random(space.mode_sizes, (1, 2, 2, 1), np.random.default_rng(6))
+        snap = SolutionSnapshot(0.25, y)
+        rhs, _ = _step_quantities(snap, space)
+        cfg = SolverConfig(T=1, tau_max=1.0, delta_rank=0.02, delta_contr=1e-3)
+        tau, new = stepsize_retraction(snap, rhs, [2, 2], tau_init, cfg, tau_cap=1.0)
+        assert 0.0 < tau < 1.0
+        assert new.t == 0.25 + tau
+        want = tt_round(tt_add_scaled(y, rhs, tau), tol=cfg.delta_contr, max_ranks=[2, 2])
+        assert new.coeffs.ranks == want.ranks
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(new.coeffs.cores, want.cores))
+
+    def test_retraction_keeps_a_satisfying_rounding(self, monkeypatch):
+        """Halving, then bisection whose last evaluated step fails: the step
+        kept is the last satisfying one, not the last one formed."""
+        space = PolySpace([(-2, 2)] * 2, [3, 3])
+        y = tt_random(space.mode_sizes, (1, 2, 1), np.random.default_rng(4))
         snap = SolutionSnapshot(0.0, y)
         rhs, _ = _step_quantities(snap, space)
         cfg = SolverConfig(T=1, tau_max=1.0, delta_rank=0.02)
-        last = {}
-        tau = stepsize_retraction(snap, rhs, [2, 2], tau_init, cfg, tau_cap=1.0,
-                                  last=last)
-        ((tau_last, ybar),) = last.items()
-        assert ybar.ortho == ("right", 1)
-        want = right_orthogonalize(tt_add_scaled(y, rhs, tau_last))
-        assert all(g.tobytes() == w.tobytes() for g, w in zip(ybar.cores, want.cores))
-        # a rounding of the handed-over sum is the rounding of the plain sum
-        reused = integrate._euler_from_rhs(snap, rhs, tau_last, [2, 2], 1e-8, ybar)
-        plain = integrate._euler_from_rhs(snap, rhs, tau_last, [2, 2], 1e-8)
-        assert reused.t == plain.t
-        assert all(g.tobytes() == w.tobytes()
-                   for g, w in zip(reused.coeffs.cores, plain.coeffs.cores))
-        assert 0.0 < tau <= 1.0
+        evals = []
+        rel_err = integrate._retraction_rel_err
+
+        def recording(y, rhs, tau, target_ranks, delta_contr):
+            rounded, err = rel_err(y, rhs, tau, target_ranks, delta_contr)
+            evals.append((tau, err <= cfg.delta_rank, rounded))
+            return rounded, err
+
+        monkeypatch.setattr(integrate, "_retraction_rel_err", recording)
+        tau, new = stepsize_retraction(snap, rhs, [2], 1.0, cfg)
+        taus = [t for t, _, _ in evals]
+        assert taus[:2] == [1.0, 0.5] and not evals[0][1]  # it halved first
+        assert len(taus) > 3 and not evals[-1][1]          # bisection ended failing
+        (kept,) = [r for t, _, r in evals if t == tau]
+        assert tau == max(t for t, good, _ in evals if good)
+        assert new.coeffs is kept
+        assert new.coeffs is not evals[-1][2]
 
     def test_solve_rounds_the_retraction_sum_it_accepted(self, monkeypatch):
+        """A short solve rounds each step's sum once, inside the retraction
+        search, and re-compresses the rounding the search returned."""
         _, space, phi = gaussian_setup(2, seed=3)
-        handed = []
-        euler = integrate._euler_from_rhs
+        phase, rounds, evals, handed = [None], Counter(), [], []
+        round_err = tt.tt_round_with_error
+        rel_err = integrate._retraction_rel_err
+        search = integrate.stepsize_retraction
+        truncate = integrate.degree_truncate
 
-        def recording(y, rhs, tau, target_ranks, delta_contr, ybar=None):
-            handed.append(ybar is not None)
-            return euler(y, rhs, tau, target_ranks, delta_contr, ybar)
+        def counting_round(*args, **kwargs):
+            rounds[phase[0]] += 1
+            return round_err(*args, **kwargs)
 
-        monkeypatch.setattr(integrate, "_euler_from_rhs", recording)
+        def counting_eval(*args):
+            evals.append(args[2])
+            return rel_err(*args)
+
+        def searching(*args, **kwargs):
+            phase[0] = "search"
+            tau, new = search(*args, **kwargs)
+            phase[0] = "accepted"
+            handed.append(new)
+            return tau, new
+
+        def truncating(y, *args):
+            assert y is handed[-1]
+            phase[0] = None
+            return truncate(y, *args)
+
+        monkeypatch.setattr(tt, "tt_round_with_error", counting_round)
+        monkeypatch.setattr(integrate, "tt_round_with_error", counting_round)
+        monkeypatch.setattr(integrate, "_retraction_rel_err", counting_eval)
+        monkeypatch.setattr(integrate, "stepsize_retraction", searching)
+        monkeypatch.setattr(integrate, "degree_truncate", truncating)
         traj = solve_hjb(phi, space, SolverConfig(T=0.05, tau_max=0.01, seed=1))
         assert traj.error is None
-        assert handed == [True] * len(traj.diagnostics)
+        assert len(handed) == len(traj.diagnostics) == 5
+        assert rounds["search"] == len(evals) >= len(handed)
+        assert rounds["accepted"] == 0
 
     def test_retraction_rank_budget_failure(self):
         space = PolySpace([(-2, 2)] * 3, [3] * 3)
@@ -512,43 +560,6 @@ class TestNonFinite:
             power_iteration_bound(SolutionSnapshot(0.0, phi), space, cfg)
         traj = solve_hjb(phi, space, cfg)
         assert traj.error.startswith("ValueError: non-finite eigenvalue")
-
-
-class TestEvaluateAtTime:
-    @pytest.fixture(scope="class")
-    @classmethod
-    def solved(cls):
-        q, space, phi = gaussian_setup(2, seed=16)
-        cfg = SolverConfig(T=3.0, tau_max=0.1, rho=0.2, seed=5)
-        return q, space, cfg, solve_hjb(phi, space, cfg)
-
-    def test_initial_condition(self, solved):
-        _, space, cfg, traj = solved
-        snap = evaluate_at_time(traj, 0.0, space, cfg)
-        assert snap is traj.snapshots[0]
-
-    def test_stored_grid_point(self, solved):
-        _, space, cfg, traj = solved
-        t = traj.times[len(traj.times) // 2]
-        assert evaluate_at_time(traj, t, space, cfg).t == t
-
-    def test_midpoint_tracks_riccati(self, solved):
-        q, space, cfg, traj = solved
-        times = traj.times
-        t_star = 0.5 * (times[10] + times[11])
-        snap = evaluate_at_time(traj, t_star, space, cfg)
-        assert snap.t == pytest.approx(t_star)
-        _, _, qm = extract_quadratic(snap.coeffs, space)
-        ref = riccati_reference(q, t_star)
-        # one Euler step of size < tau plus accumulated O(tau) global error
-        assert np.linalg.norm(qm - ref) / np.linalg.norm(ref) <= 0.05
-
-    def test_out_of_range_rejected(self, solved):
-        _, space, cfg, traj = solved
-        with pytest.raises(ValueError):
-            evaluate_at_time(traj, -0.1, space, cfg)
-        with pytest.raises(ValueError):
-            evaluate_at_time(traj, 3.1, space, cfg)
 
 
 class TestConsistencyOrder:

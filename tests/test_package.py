@@ -1,6 +1,5 @@
 """Package-level properties of ``import tthjb``."""
 
-import importlib
 import importlib.util
 import os
 import subprocess
@@ -23,15 +22,21 @@ def test_import_loads_no_scipy():
 
 
 def test_benchmark_trace_targets_exist():
-    # perfbench's traced mode replaces these names at run time and fails
-    # with AttributeError when one of them is gone.
+    # perfbench's traced mode (tracing.install) looks these names up in the
+    # modules that `import tthjb.cli` loads and replaces them at run time; a
+    # missing one fails every traced round with AttributeError.
+    import tthjb.cli  # noqa: F401
+
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py"))
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     for modname, attr, _, _ in tracing.WRAPPED:
-        module = importlib.import_module(f"tthjb.{modname}")
+        module = sys.modules[f"tthjb.{modname}"]
         assert callable(getattr(module, attr, None)), f"tthjb.{modname}.{attr}"
     for modname, cls_name, attr, _ in tracing.WRAPPED_METHODS:
-        cls = getattr(importlib.import_module(f"tthjb.{modname}"), cls_name)
+        cls = getattr(sys.modules[f"tthjb.{modname}"], cls_name)
         assert callable(getattr(cls, attr, None)), f"tthjb.{modname}.{cls_name}.{attr}"
+    basis, tt = sys.modules["tthjb.basis"], sys.modules["tthjb.tt"]
+    assert callable(basis.build_basis.cache_info)
+    assert callable(tt.TensorTrain.__init__)

@@ -480,26 +480,32 @@ class TestTrajectorySampler:
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, -2.0]])
         assert count_out_of_domain(small, pts).tolist() == [0, 1, 2]
 
-    def test_solver_grid_never_bridges(self, solved, monkeypatch):
-        """On the default grid every reverse step finds its stored snapshot;
-        none runs an Euler bridge step for a round-off time offset."""
+    def test_reverse_step_scores_its_snapshot(self, solved, monkeypatch):
+        """Reverse step n, Langevin steps included, scores with snapshot
+        N - n of the solve, at the step's diffusion time."""
         _, space, cfg, traj = solved
+        real_prepare, real_grad = sample.prepare_score, sample.grad_v_batch
+        snap_of, used = {}, []
 
-        def bridge(*args):
-            raise AssertionError("evaluate_at_time called on the solver grid")
+        def prepare(snap, space):
+            kernel = real_prepare(snap, space)
+            snap_of[id(kernel)] = snap
+            return kernel
 
-        monkeypatch.setattr("tthjb.sample.evaluate_at_time", bridge)
+        def grad(kernel, space, z, **kw):
+            used.append(snap_of[id(kernel)])
+            return real_grad(kernel, space, z, **kw)
+
+        monkeypatch.setattr(sample, "prepare_score", prepare)
+        monkeypatch.setattr(sample, "grad_v_batch", grad)
         scfg = SamplerConfig(lam=0.0, n_particles=20, langevin_steps=1, seed=3)
         batch = reverse_sample(traj, space, scfg, cfg)
         assert batch.samples.shape == (20, 2)
-
-    def test_custom_grid(self, solved):
-        _, space, cfg, traj = solved
-        scfg = SamplerConfig(lam=1.0, n_particles=50, seed=2)
-        times = np.linspace(0.0, traj.times[-1], 41)
-        batch = reverse_sample(traj, space, scfg, cfg, times=times)
-        assert batch.samples.shape == (50, 2)
-        assert np.all(np.isfinite(batch.samples))
+        want = [snap for snap in traj.snapshots[:0:-1] for _ in range(2)]
+        assert [id(s) for s in used] == [id(s) for s in want]
+        times = np.array(batch.metadata["times"])
+        assert np.allclose(times[-1] - times[:-1], [s.t for s in want[::2]],
+                           rtol=0, atol=1e-12)
 
     def test_incomplete_trajectory_rejected(self, solved):
         _, space, cfg, traj = solved

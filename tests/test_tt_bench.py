@@ -1,4 +1,5 @@
-"""Timed rounding kernels on the shapes the benchmark solves round.
+"""Timed rounding kernels on the shapes the benchmark solves round, and one
+accepted Euler step of the d=6 mixed solve.
 
 Each case times one kernel with pytest-benchmark and checks its result, bit
 for bit, against a reference built on ``np.linalg.qr``/``np.linalg.svd``.
@@ -11,8 +12,11 @@ Medians of a run::
 import numpy as np
 import pytest
 
-from tthjb.tt import (TensorTrain, _truncation_rank, right_orthogonalize, tt_random,
-                      tt_round_sketched, tt_round_with_error)
+from tthjb.basis import PolySpace
+from tthjb.integrate import (SolutionSnapshot, SolverConfig, _step_quantities,
+                             stepsize_retraction)
+from tthjb.tt import (TensorTrain, _truncation_rank, right_orthogonalize, tt_add_scaled,
+                      tt_random, tt_round_sketched, tt_round_with_error)
 
 # (modes, input ranks, sketch ranks).  mixed6: the README d=6 mixed config's
 # power-iteration inputs; gauss10: d=10 Gaussian, stiffness images of a
@@ -112,3 +116,24 @@ def test_bench_tt_round_sketched(benchmark, name):
     a, sketch, caps = _inputs(name)
     got = benchmark(tt_round_sketched, a, sketch, caps)
     _assert_same(got.cores, _ref_round_sketched(a, sketch, caps))
+
+
+# The README d=6 mixed config's space and a state of its full-degree shape
+MIXED6_SPACE = PolySpace([(-5, 5)] * 2 + [(-2, 2)] * 2 + [(-5, 5)] * 2, [4, 2, 4, 4, 6, 6])
+MIXED6_STATE_RANKS = (1, 3, 2, 2, 2, 3, 1)
+
+
+def test_bench_stepsize_retraction_mixed6(benchmark):
+    """One accepted step: a search that, as on every step of the mixed6
+    solve, accepts its first step size, and the rounding it keeps."""
+    y = tt_random(MIXED6_SPACE.mode_sizes, MIXED6_STATE_RANKS, np.random.default_rng(1900))
+    snap = SolutionSnapshot(0.0, y)
+    rhs, _ = _step_quantities(snap, MIXED6_SPACE)
+    cfg = SolverConfig(T=10.0, tau_max=0.05, delta_rank=0.01, delta_contr=1e-8)
+    caps = list(y.interior_ranks)
+    tau, _ = stepsize_retraction(snap, rhs, caps, 1.0, cfg)
+    got_tau, new = benchmark(stepsize_retraction, snap, rhs, caps, tau, cfg)
+    assert got_tau == tau and new.t == tau
+    want, _ = _ref_round(_ref_right_orthogonalize(tt_add_scaled(y, rhs, tau)),
+                         cfg.delta_contr, caps)
+    _assert_same(new.coeffs.cores, want)
