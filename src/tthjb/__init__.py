@@ -11,9 +11,8 @@ from .operators import (PotentialSpec, PotentialTerm, apply_lin, apply_nonlin,
                         apply_nonlin_linearized, apply_partial, apply_stiffness,
                         build_potential_tt, covariance_error, extract_quadratic,
                         poly_multiply, prepare_stiffness, project_degree)
-from .sample import (SampleBatch, SamplerConfig, eval_v,
-                     eval_v_batch, grad_v, grad_v_batch, reverse_sample,
-                     reverse_sample_scored)
+from .sample import (SampleBatch, SamplerConfig, eval_v_batch, grad_v_batch,
+                     reverse_sample, reverse_sample_scored)
 from .tt import (TensorTrain, check_finite, read_checkpoint, tt_add_scaled,
                  tt_contract_mode_vectors, tt_from_dense, tt_inner, tt_norm,
                  tt_random, tt_round, tt_scale, tt_to_dense, tt_zero,
@@ -31,9 +30,8 @@ __all__ = [
     "apply_nonlin_linearized", "apply_partial", "apply_stiffness",
     "build_potential_tt", "covariance_error", "extract_quadratic",
     "poly_multiply", "prepare_stiffness", "project_degree",
-    "SampleBatch", "SamplerConfig", "eval_v",
-    "eval_v_batch", "grad_v", "grad_v_batch", "reverse_sample",
-    "reverse_sample_scored",
+    "SampleBatch", "SamplerConfig", "eval_v_batch", "grad_v_batch",
+    "reverse_sample", "reverse_sample_scored",
     "TensorTrain", "check_finite", "read_checkpoint", "tt_add_scaled",
     "tt_contract_mode_vectors", "tt_from_dense", "tt_inner", "tt_norm",
     "tt_random", "tt_round", "tt_scale", "tt_to_dense", "tt_zero",

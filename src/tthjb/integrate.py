@@ -284,16 +284,10 @@ def _step_quantities(y: SolutionSnapshot, space: PolySpace,
     return rhs, rel
 
 
-def _projection_bound(rel_proj: float, cfg: SolverConfig) -> float:
-    """``delta_proj / rel_proj``, or ``tau_max`` when the projection is exact."""
+def stepsize_projection(rel_proj: float, cfg: SolverConfig) -> float:
+    """Step bound ``delta_proj / rel_proj`` keeping the relative projection
+    error below delta_proj, or ``tau_max`` when the projection is exact."""
     return cfg.tau_max if rel_proj == 0.0 else cfg.delta_proj / rel_proj
-
-
-def stepsize_projection(y: SolutionSnapshot, space: PolySpace,
-                        cfg: SolverConfig) -> tuple[float, float]:
-    """Step bound keeping the relative projection error below delta_proj."""
-    _, rel_proj = _step_quantities(y, space)
-    return _projection_bound(rel_proj, cfg), rel_proj
 
 
 def _retraction_rel_err(y: TensorTrain, rhs: TensorTrain, tau: float,
@@ -305,25 +299,21 @@ def _retraction_rel_err(y: TensorTrain, rhs: TensorTrain, tau: float,
 
 
 def stepsize_retraction(y: SolutionSnapshot, rhs: TensorTrain, target_ranks,
-                        tau_init: float, cfg: SolverConfig,
-                        tau_cap: float | None = None) -> tuple[float, SolutionSnapshot]:
+                        tau_cap: float, cfg: SolverConfig) -> tuple[float, SolutionSnapshot]:
     """Largest step in (0, tau_cap] whose retraction stays below delta_rank
     in relative Frobenius norm, and the step it takes.
 
     The retraction judged is the one the step takes: ``y + tau rhs`` rounded
-    to ``target_ranks`` at relative ``cfg.delta_contr``.  ``tau_init`` seeds
-    the search (the previously accepted step in the solve loop); ``tau_cap``
-    defaults to it.  From the seed the search halves until satisfied (or
-    doubles up to the cap while satisfied), then bisects between the best
-    satisfying step and the nearest failing one to relative width 1e-2 (at
-    most 20 bisections) and returns the best satisfying value, which it has
+    to ``target_ranks`` at relative ``cfg.delta_contr``.  The search probes
+    ``tau_cap`` first (in the solve, the smallest of the other bounds) and
+    returns it when it holds.  Otherwise it halves from the cap until
+    satisfied (at most 40 halvings), then bisects between the satisfying
+    step and the failing one above it to relative width 1e-2 (at most 20
+    bisections) and returns the best satisfying value, which it has
     evaluated last among the satisfying ones, with its rounding.
     """
-    if tau_init <= 0:
-        raise ValueError("tau_init must be positive")
-    if tau_cap is None:
-        tau_cap = tau_init
-    tau_init = min(tau_init, tau_cap)
+    if tau_cap <= 0:
+        raise ValueError("tau_cap must be positive")
     kept = None
 
     def ok(tau):
@@ -340,21 +330,16 @@ def stepsize_retraction(y: SolutionSnapshot, rhs: TensorTrain, target_ranks,
 
     if ok(tau_cap):
         return step(tau_cap)
-    lo = tau_init
-    if lo < tau_cap and ok(lo):
-        hi = min(2.0 * lo, tau_cap)
-        while hi < tau_cap and ok(hi):
-            lo, hi = hi, min(2.0 * hi, tau_cap)
+    lo = tau_cap
+    for _ in range(40):
+        lo *= 0.5
+        if ok(lo):
+            break
     else:
-        for _ in range(40):
-            lo *= 0.5
-            if ok(lo):
-                break
-        else:
-            raise RankBudgetError(
-                "retraction error exceeds delta_rank even at tau_init * 2^-40; "
-                "the rank budget is too small for this state")
-        hi = 2.0 * lo
+        raise RankBudgetError(
+            "retraction error exceeds delta_rank even at tau_cap * 2^-40; "
+            "the rank budget is too small for this state")
+    hi = 2.0 * lo
     for _ in range(20):
         if (hi - lo) / lo <= 1e-2:
             break
@@ -384,8 +369,7 @@ def euler_step(y: SolutionSnapshot, tau: float, target_ranks,
     return SolutionSnapshot(t=y.t + tau, coeffs=rounded)
 
 
-def degree_truncate(y: SolutionSnapshot, delta_contr: float,
-                    space: PolySpace) -> SolutionSnapshot:
+def degree_truncate(y: SolutionSnapshot, delta_contr: float) -> SolutionSnapshot:
     """Drop top polynomial degrees whose coefficient slices carry at most
     ``delta_contr`` in (absolute) Frobenius norm.
 
@@ -452,7 +436,6 @@ def solve_hjb(phi: TensorTrain, space: PolySpace, cfg: SolverConfig) -> Trajecto
     snap = SolutionSnapshot(t=0.0, coeffs=phi)
     r0 = phi.interior_ranks
     traj = Trajectory(snapshots=[snap])
-    tau_prev = None
     power = PowerState()
     step = 0
     t = 0.0
@@ -464,14 +447,11 @@ def solve_hjb(phi: TensorTrain, space: PolySpace, cfg: SolverConfig) -> Trajecto
             lambda_bar, power_iters = power_iteration_bound(snap, space, cfg, power, side)
             tau_lambda = stepsize_stiffness(lambda_bar, cfg.rho_at(t))
             rhs, rel_proj = _step_quantities(snap, space, side)
-            tau_proj = _projection_bound(rel_proj, cfg)
+            tau_proj = stepsize_projection(rel_proj, cfg)
             target = _rank_caps(snap.coeffs, r0)
             remaining = cfg.T - t
             tau_cap = min(cfg.tau_max, tau_lambda, tau_proj, remaining)
-            tau_init = min(tau_prev if tau_prev is not None else cfg.tau_max,
-                           tau_cap)
-            tau, new = stepsize_retraction(snap, rhs, target, tau_init, cfg,
-                                           tau_cap=tau_cap)
+            tau, new = stepsize_retraction(snap, rhs, target, tau_cap, cfg)
             bounds = {"tau_max": cfg.tau_max, "stiffness": tau_lambda,
                       "projection": tau_proj, "horizon": remaining}
             binding = "rank" if tau < tau_cap else min(bounds, key=bounds.get)
@@ -479,7 +459,7 @@ def solve_hjb(phi: TensorTrain, space: PolySpace, cfg: SolverConfig) -> Trajecto
             # over from reaching the horizon does not
             if tau < 1e-12 * cfg.T and tau < remaining:
                 raise StepUnderflowError(f"step size underflow at t={t}: tau={tau}")
-            new = degree_truncate(new, cfg.delta_contr, space)
+            new = degree_truncate(new, cfg.delta_contr)
             new = rank_adapt(new, r0, cfg.delta_contr)
             if tau == remaining:
                 new = SolutionSnapshot(t=cfg.T, coeffs=new.coeffs)
@@ -495,6 +475,5 @@ def solve_hjb(phi: TensorTrain, space: PolySpace, cfg: SolverConfig) -> Trajecto
         traj.diagnostics.append(_diag_record(
             step, snap, tau, tau_lambda, tau_proj, tau, lambda_bar,
             power_iters, power.converged, binding, space, wall_ms))
-        tau_prev = tau
     return traj
 

@@ -5,7 +5,7 @@ noising process, so the score is the *negative* gradient of the represented
 polynomial.  Particles start from a standard normal draw and follow the
 discretized reverse-time process
 
-    z <- z + [z - (2 - lambda) grad_v(z)] tau + sqrt(2 (1 - lambda) tau) xi,
+    z <- z + [z - (2 - lambda) grad V(z)] tau + sqrt(2 (1 - lambda) tau) xi,
 
 optionally followed by unadjusted Langevin steps targeting the same
 intermediate density.  ``lambda = 1`` is the deterministic flow; its noise
@@ -220,11 +220,6 @@ def _contracted_cores(kernel: ScoreKernel, work: ScoreWorkspace, xs: np.ndarray,
     return vals, dvals
 
 
-def eval_v(snap: SolutionSnapshot, space: PolySpace, x) -> float:
-    """Value of the represented polynomial at one point."""
-    return float(eval_v_batch(snap, space, np.atleast_2d(np.asarray(x, float)))[0])
-
-
 def eval_v_batch(snap: SolutionSnapshot | ScoreKernel, space: PolySpace,
                  xs: np.ndarray) -> np.ndarray:
     """Values at an ``(m, d)`` batch: the contracted cores chained left to
@@ -237,11 +232,6 @@ def eval_v_batch(snap: SolutionSnapshot | ScoreKernel, space: PolySpace,
     for mat in vals:
         env = np.einsum("am,abm->bm", env, mat)
     return env[0]
-
-
-def grad_v(snap: SolutionSnapshot, space: PolySpace, x) -> np.ndarray:
-    """Gradient of the represented polynomial at one point."""
-    return grad_v_batch(snap, space, np.atleast_2d(np.asarray(x, float)))[0]
 
 
 def grad_v_batch(snap: SolutionSnapshot | ScoreKernel, space: PolySpace,

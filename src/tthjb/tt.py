@@ -103,14 +103,11 @@ class TensorTrain:
         ranks[i+1])`` with boundary ranks 1.  Cores are converted to
         float64 and validated on construction.
     ortho : tuple or None
-        Optional orthogonality marker: ``("left", k)`` marks cores
-        ``0..k-1`` as having orthonormal column unfoldings, ``("right", k)``
-        cores ``k..d-1`` as having orthonormal row unfoldings.  The rounding
-        sets ``("left", d-1)``, which :func:`tt_norm` reads to take the norm
-        of the last core alone; :func:`right_orthogonalize` sets
-        ``("right", 1)``, on which the rounding skips its own sweep.  It is
-        trusted, not checked; every other operation returns an unmarked
-        result.
+        Optional orthogonality marker.  Its one value, ``("left", d-1)``,
+        marks cores ``0..d-2`` as having orthonormal column unfoldings; the
+        rounding sets it, and :func:`tt_norm` reads it to take the norm of
+        the last core alone.  It is trusted, not checked; every other
+        operation returns an unmarked result.
     """
 
     __slots__ = ("cores", "ortho")
@@ -292,8 +289,7 @@ def tt_inner(a: TensorTrain, b: TensorTrain) -> float:
 
 
 def right_orthogonalize(a: TensorTrain) -> TensorTrain:
-    """Sweep right-to-left so cores 2..d have orthonormal rows (marked
-    ``("right", 1)``).
+    """Sweep right-to-left so cores 2..d have orthonormal rows.
 
     Afterwards the Frobenius norm of the tensor equals the Frobenius norm
     of the first core.
@@ -306,7 +302,7 @@ def right_orthogonalize(a: TensorTrain) -> TensorTrain:
         k = q.shape[1]
         cores[i] = q.T.reshape(k, m, r1)
         cores[i - 1] = np.matmul(cores[i - 1], r.T)
-    return TensorTrain._trusted(cores, ortho=("right", 1))
+    return TensorTrain._trusted(cores)
 
 
 def tt_norm(a: TensorTrain) -> float:
@@ -373,8 +369,8 @@ def tt_round_with_error(a: TensorTrain, tol: float = 0.0,
     """SVD-based recompression (retraction onto lower-rank manifolds) and
     its relative Frobenius error ``|a - rounded| / |a|``.
 
-    Right-to-left orthogonalization (skipped on an input marked
-    ``("right", 1)``) followed by a left-to-right SVD truncation sweep.  In ``tol`` mode each bond discards a singular-value
+    Right-to-left orthogonalization followed by a left-to-right SVD
+    truncation sweep.  In ``tol`` mode each bond discards a singular-value
     tail of at most ``tol * ||a||_F / sqrt(d - 1)``, which bounds the total
     relative error by ``tol``.  ``max_ranks`` caps the d-1 interior ranks
     componentwise.  Ranks never increase; a zero tensor is returned in the
@@ -394,12 +390,11 @@ def tt_round_with_error(a: TensorTrain, tol: float = 0.0,
             raise ValueError("max_ranks must list the d-1 interior ranks")
         if any(r < 1 for r in caps):
             raise ValueError("max_ranks must be >= 1")
-    ortho = a if a.ortho == ("right", 1) else right_orthogonalize(a)
-    norm = float(np.linalg.norm(ortho.cores[0]))
+    cores = list(right_orthogonalize(a).cores)
+    norm = float(np.linalg.norm(cores[0]))
     if norm == 0.0:
         return tt_zero(a.mode_sizes), 0.0
     thresh = tol * norm / np.sqrt(d - 1)
-    cores = list(ortho.cores)
     discarded_sq = 0.0
     for i in range(d - 1):
         r0, m, r1 = cores[i].shape

@@ -184,7 +184,8 @@ class TestStepsizeRules:
     def test_projection_exact_for_quadratic_state(self):
         _, space, phi = gaussian_setup(3, seed=0)
         cfg = SolverConfig(**CFG)
-        tau, rel = stepsize_projection(SolutionSnapshot(0.0, phi), space, cfg)
+        rel = _step_quantities(SolutionSnapshot(0.0, phi), space)[1]
+        tau = stepsize_projection(rel, cfg)
         # NL of a quadratic has degree 2 = the space degree: projection exact.
         assert rel == 0.0
         assert tau == cfg.tau_max
@@ -194,7 +195,8 @@ class TestStepsizeRules:
         rng = np.random.default_rng(1)
         y = tt_random(space.mode_sizes, (1, 2, 1), rng)
         cfg = SolverConfig(**CFG)
-        tau, rel = stepsize_projection(SolutionSnapshot(0.0, y), space, cfg)
+        rel = _step_quantities(SolutionSnapshot(0.0, y), space)[1]
+        tau = stepsize_projection(rel, cfg)
         assert rel > 0.0
         assert tau == pytest.approx(cfg.delta_proj / rel)
         # Parseval form against the dense norms of the nonlinear part.
@@ -262,8 +264,7 @@ class TestStepsizeRules:
         assert rel_retr(got) <= cfg.delta_rank
         assert got >= scan_opt * 0.98 - (taus[1] - taus[0])
 
-    @pytest.mark.parametrize("tau_init", [1e-4, 1.0], ids=["doubling", "halving"])
-    def test_retraction_evaluates_no_step_twice(self, monkeypatch, tau_init):
+    def test_retraction_evaluates_no_step_twice(self, monkeypatch):
         space = PolySpace([(-2, 2)] * 2, [3, 3])
         y = tt_random(space.mode_sizes, (1, 2, 1), np.random.default_rng(4))
         snap = SolutionSnapshot(0.0, y)
@@ -277,12 +278,11 @@ class TestStepsizeRules:
             return rel_err(y, rhs, tau, target_ranks, delta_contr)
 
         monkeypatch.setattr(integrate, "_retraction_rel_err", recording)
-        got, _ = stepsize_retraction(snap, rhs, [2], tau_init, cfg, tau_cap=1.0)
-        assert 1e-3 < got < 1.0  # the search doubled or halved, then bisected
+        got, _ = stepsize_retraction(snap, rhs, [2], 1.0, cfg)
+        assert 1e-3 < got < 1.0  # the search halved, then bisected
         assert len(taus) == len(set(taus)), taus
 
-    @pytest.mark.parametrize("tau_init", [1e-4, 1.0], ids=["doubling", "halving"])
-    def test_retraction_hands_over_its_last_sum(self, tau_init):
+    def test_retraction_hands_over_its_last_sum(self):
         """The search hands over the step it accepted: the sum at the
         returned step rounded to the caps at delta_contr."""
         space = PolySpace([(-2, 2)] * 3, [3, 3, 3])
@@ -290,7 +290,7 @@ class TestStepsizeRules:
         snap = SolutionSnapshot(0.25, y)
         rhs, _ = _step_quantities(snap, space)
         cfg = SolverConfig(T=1, tau_max=1.0, delta_rank=0.02, delta_contr=1e-3)
-        tau, new = stepsize_retraction(snap, rhs, [2, 2], tau_init, cfg, tau_cap=1.0)
+        tau, new = stepsize_retraction(snap, rhs, [2, 2], 1.0, cfg)
         assert 0.0 < tau < 1.0
         assert new.t == 0.25 + tau
         want = tt_round(tt_add_scaled(y, rhs, tau), tol=cfg.delta_contr, max_ranks=[2, 2])
@@ -375,6 +375,15 @@ class TestStepsizeRules:
         with pytest.raises(RankBudgetError):
             stepsize_retraction(snap, rhs, [1, 1], 0.1, cfg)
 
+    @pytest.mark.parametrize("tau_cap", [0.0, -1.0])
+    def test_retraction_rejects_a_nonpositive_cap(self, tau_cap):
+        space = PolySpace([(-2, 2)] * 2, [3, 3])
+        snap = SolutionSnapshot(0.0, tt_random(space.mode_sizes, (1, 2, 1),
+                                               np.random.default_rng(4)))
+        rhs, _ = _step_quantities(snap, space)
+        with pytest.raises(ValueError, match="tau_cap"):
+            stepsize_retraction(snap, rhs, [2], tau_cap, SolverConfig(T=1, tau_max=1.0))
+
 
 class TestEulerStep:
     def test_zero_step_identity_up_to_rounding(self):
@@ -423,14 +432,14 @@ class TestRecompression:
              "params": {"Q": (0.5 * np.eye(d)).tolist()}}])
         phi = build_potential_tt(spec, space)
         assert phi.mode_sizes == (5, 5, 5)
-        out = degree_truncate(SolutionSnapshot(0.0, phi), 1e-8, space)
+        out = degree_truncate(SolutionSnapshot(0.0, phi), 1e-8)
         assert out.coeffs.mode_sizes == (3, 3, 3)
 
     def test_degree_floor_is_two(self):
         space = PolySpace([(-5, 5)] * 2, [2] * 2)
         spec = PotentialSpec(terms=[PotentialTerm((), {(): 1.0})])
         const = build_potential_tt(spec, space)  # all mass at degree 0
-        out = degree_truncate(SolutionSnapshot(0.0, const), 1e-8, space)
+        out = degree_truncate(SolutionSnapshot(0.0, const), 1e-8)
         assert out.coeffs.mode_sizes == (3, 3)
 
     def test_slice_norm_matches_dense(self):

@@ -40,3 +40,14 @@ def test_benchmark_trace_targets_exist():
     basis, tt = sys.modules["tthjb.basis"], sys.modules["tthjb.tt"]
     assert callable(basis.build_basis.cache_info)
     assert callable(tt.TensorTrain.__init__)
+
+
+def test_public_names_resolve():
+    # every exported name is bound, and a star import finds all of them
+    import tthjb
+
+    missing = [name for name in tthjb.__all__ if not hasattr(tthjb, name)]
+    assert not missing, missing
+    namespace = {}
+    exec("from tthjb import *", namespace)
+    assert set(tthjb.__all__) <= set(namespace)

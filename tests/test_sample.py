@@ -15,7 +15,7 @@ from tthjb.operators import (PotentialSpec, PotentialTerm, build_potential_tt,
                              covariance_error, extract_quadratic)
 from tthjb.oracles import riccati_reference
 from tthjb.sample import (SampleBatch, SamplerConfig, _normals, count_out_of_domain,
-                          eval_v, eval_v_batch, grad_v, grad_v_batch, prepare_score,
+                          eval_v_batch, grad_v_batch, prepare_score,
                           reverse_sample, reverse_sample_scored)
 from tthjb.tt import tt_random
 
@@ -32,11 +32,12 @@ def standard_half_norm(d, intervals=(-5.0, 5.0)):
 class TestEvaluation:
     def test_half_norm_value(self):
         space, snap = standard_half_norm(3)
-        assert eval_v(snap, space, [1.0, 1.0, 1.0]) == pytest.approx(1.5, rel=1e-12)
+        assert eval_v_batch(snap, space, np.array([[1.0, 1.0, 1.0]]))[0] \
+            == pytest.approx(1.5, rel=1e-12)
 
     def test_even_polynomial_at_origin(self):
         space, snap = standard_half_norm(2)
-        assert eval_v(snap, space, [0.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
+        assert eval_v_batch(snap, space, np.zeros((1, 2)))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_dense_polynomial(self):
         rng = np.random.default_rng(0)
@@ -47,25 +48,26 @@ class TestEvaluation:
         for x in rng.uniform(-2, 2, (10, 3)):
             vs = [space.bases[i].evaluate(x[i]) for i in range(3)]
             ref = tt_contract_mode_vectors(tt, vs)
-            assert eval_v(snap, space, x) == pytest.approx(ref, rel=1e-10)
+            assert eval_v_batch(snap, space, x[None])[0] == pytest.approx(ref, rel=1e-10)
 
     def test_extrapolation_permitted(self):
         space, snap = standard_half_norm(2)
-        assert eval_v(snap, space, [7.0, 0.0]) == pytest.approx(24.5, rel=1e-9)
+        assert eval_v_batch(snap, space, np.array([[7.0, 0.0]]))[0] \
+            == pytest.approx(24.5, rel=1e-9)
 
 
 class TestGradient:
     def test_half_norm_gradient_is_identity(self):
         space, snap = standard_half_norm(3)
         x = np.array([0.3, -1.2, 2.0])
-        np.testing.assert_allclose(grad_v(snap, space, x), x, atol=1e-11)
+        np.testing.assert_allclose(grad_v_batch(snap, space, x[None])[0], x, atol=1e-11)
 
     def test_doublewell_analytic_gradient(self):
         space = PolySpace([(-2, 2)] * 2, [4, 4])
         spec = PotentialSpec(builtins=[
             {"name": "doublewell", "coords": (0, 1), "params": {}}])
         snap = SolutionSnapshot(0.0, build_potential_tt(spec, space))
-        got = grad_v(snap, space, [1.0, 1.0])
+        got = grad_v_batch(snap, space, np.array([[1.0, 1.0]]))[0]
         np.testing.assert_allclose(got, [-4.4, -3.9], atol=1e-10)
 
     def test_finite_difference_batch(self):
@@ -158,20 +160,6 @@ class TestParticleLastKernel:
         got, ref = grad_v_batch(snap, space, xs), loop_grad(snap, space, xs)
         assert got.shape == (m, len(KERNEL_CASES[name][0]))
         assert np.all(np.abs(got - ref) <= KERNEL_RTOL * loop_grad(snap, space, xs, np.abs))
-
-    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
-    def test_single_point_wrappers(self, name):
-        space, snap, xs = self.case(name, 5)
-        for x in xs:
-            value, grad = eval_v(snap, space, x), grad_v(snap, space, x)
-            assert isinstance(value, float) and grad.shape == (len(x),)
-            assert value == eval_v_batch(snap, space, x[None])[0]
-            np.testing.assert_array_equal(grad, grad_v_batch(snap, space, x[None])[0])
-            point = x[None]
-            assert (abs(value - loop_eval(snap, space, point)[0])
-                    <= KERNEL_RTOL * loop_eval(snap, space, point, np.abs)[0])
-            assert np.all(np.abs(grad - loop_grad(snap, space, point)[0])
-                          <= KERNEL_RTOL * loop_grad(snap, space, point, np.abs)[0])
 
     @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
     def test_prepared_kernel_is_bitwise_the_snapshot(self, name):
