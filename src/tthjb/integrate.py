@@ -1,7 +1,7 @@
 """Adaptive explicit Euler integration of the coefficient-tensor ODE.
 
 One step advances ``Y`` by ``tau * (L Y + P NL(Y))``, retracts the result
-back to the rank budget and re-compresses degrees and ranks.  The step size
+back to the rank budget with one rounding and trims degrees.  The step size
 is the minimum of four bounds: a hard cap, a stiffness bound from a
 warm-started power iteration on the locally linearized operator, a bound
 keeping the relative degree-projection error below ``delta_proj``, and a
@@ -395,7 +395,11 @@ def _rank_caps(Y: TensorTrain, r0) -> list[int]:
 
 def rank_adapt(y: SolutionSnapshot, r0, delta_contr: float) -> SolutionSnapshot:
     """Retract to ``max(current, 2)`` capped by ``max(initial, 2)`` and round
-    at relative ``delta_contr`` in a single pass."""
+    at relative ``delta_contr`` in a single pass.
+
+    The solve does not call it: its retraction already rounds each step to
+    these caps at ``delta_contr``.  It stays because perfbench's tracer wraps
+    it by name."""
     rounded = tt_round(y.coeffs, tol=delta_contr, max_ranks=_rank_caps(y.coeffs, r0))
     return SolutionSnapshot(t=y.t, coeffs=rounded)
 
@@ -404,15 +408,14 @@ def rank_adapt(y: SolutionSnapshot, r0, delta_contr: float) -> SolutionSnapshot:
 # The solve loop
 # ----------------------------------------------------------------------
 
-def _diag_record(step, snap, tau, tau_lambda, tau_proj, tau_rank, lambda_bar,
-                 power_iters, power_converged, binding, space, wall_ms):
+def _diag_record(step, snap, tau, tau_lambda, tau_proj, lambda_bar, power_iters,
+                 power_converged, binding, space, wall_ms):
     return {
         "step": step,
         "t": snap.t,
         "tau": tau,
         "tau_lambda": tau_lambda,
         "tau_proj": tau_proj,
-        "tau_rank": tau_rank,
         "lambda_bar": lambda_bar,
         "power_iters": power_iters,
         "power_converged": power_converged,
@@ -427,8 +430,9 @@ def _diag_record(step, snap, tau, tau_lambda, tau_proj, tau_rank, lambda_bar,
 def solve_hjb(phi: TensorTrain, space: PolySpace, cfg: SolverConfig) -> Trajectory:
     """Integrate the coefficient ODE from the potential to time ``T``.
 
-    Every accepted step satisfies all three step-size criteria; after each
-    step the degrees and ranks are re-compressed.  On failure (non-finite
+    Every accepted step satisfies all three step-size criteria.  Its new
+    state is the rounding the retraction search accepted, whose top degrees
+    are then trimmed (:func:`degree_truncate`).  On failure (non-finite
     state, step underflow, rank budget) the partial trajectory is returned
     with ``error`` set.  Finiteness is checked once per accepted step; the
     operations inside a step do not validate their results.
@@ -460,7 +464,6 @@ def solve_hjb(phi: TensorTrain, space: PolySpace, cfg: SolverConfig) -> Trajecto
             if tau < 1e-12 * cfg.T and tau < remaining:
                 raise StepUnderflowError(f"step size underflow at t={t}: tau={tau}")
             new = degree_truncate(new, cfg.delta_contr)
-            new = rank_adapt(new, r0, cfg.delta_contr)
             if tau == remaining:
                 new = SolutionSnapshot(t=cfg.T, coeffs=new.coeffs)
             check_finite(new.coeffs)
@@ -473,7 +476,7 @@ def solve_hjb(phi: TensorTrain, space: PolySpace, cfg: SolverConfig) -> Trajecto
         t = snap.t
         traj.snapshots.append(snap)
         traj.diagnostics.append(_diag_record(
-            step, snap, tau, tau_lambda, tau_proj, tau, lambda_bar,
-            power_iters, power.converged, binding, space, wall_ms))
+            step, snap, tau, tau_lambda, tau_proj, lambda_bar, power_iters,
+            power.converged, binding, space, wall_ms))
     return traj
 

@@ -230,7 +230,6 @@ def tt_from_dense(t: np.ndarray, tol: float = 0.0) -> TensorTrain:
     rest = t.reshape(r_left * t.shape[0], -1)
     for i in range(d - 1):
         u, s, vt = _svd(rest)
-        u, vt = _fix_svd_signs(u, vt)
         k = _truncation_rank(s, thresh, s.size)
         cores.append(u[:, :k].reshape(r_left, t.shape[i], k))
         rest = (s[:k, None] * vt[:k])
@@ -332,20 +331,6 @@ def tt_centres(a: TensorTrain, kept=None):
         left = _qr_r(rows.reshape(-1, rows.shape[2]))
 
 
-def _fix_svd_signs(u, vt):
-    """Deterministic sign convention: first nonzero entry of each left
-    singular vector is positive.  Flips ``u`` and ``vt`` in place."""
-    lead = u[0]
-    if not lead.all():  # some column starts with zeros: find its first nonzero
-        first = np.argmax(u != 0, axis=0)  # row 0 for an all-zero column
-        lead = u[first, np.arange(u.shape[1])]
-    neg = lead < 0
-    if neg.any():
-        np.negative(u, out=u, where=neg)
-        np.negative(vt, out=vt, where=neg[:, None])
-    return u, vt
-
-
 def _truncation_rank(s, thresh, cap):
     """Smallest rank whose discarded singular-value tail is <= thresh."""
     cap = max(1, min(int(min(cap, s.size)), s.size))
@@ -376,6 +361,8 @@ def tt_round_with_error(a: TensorTrain, tol: float = 0.0,
     componentwise.  Ranks never increase; a zero tensor is returned in the
     canonical all-rank-1 form, with error 0.  The discarded parts are
     mutually orthogonal: the error is the root of their summed squares.
+    The cores keep the signs LAPACK gives the singular vectors, so each bond
+    is fixed only up to sign, which the represented tensor does not see.
     """
     if tol < 0:
         raise ValueError("tol must be non-negative")
@@ -399,7 +386,6 @@ def tt_round_with_error(a: TensorTrain, tol: float = 0.0,
     for i in range(d - 1):
         r0, m, r1 = cores[i].shape
         u, s, vt = _svd(cores[i].reshape(r0 * m, r1))
-        u, vt = _fix_svd_signs(u, vt)
         k = _truncation_rank(s, thresh, caps[i])
         discarded_sq += float(np.sum(s[k:] ** 2))
         cores[i] = u[:, :k].reshape(r0, m, k)

@@ -11,16 +11,17 @@ settings.load_profile("deterministic")
 
 
 @pytest.fixture
-def poisoned_rank_adapt(monkeypatch):
-    """Make every re-compressed solver state carry a NaN in its second core,
-    as a non-finite value arising inside a step would."""
+def poisoned_degree_truncate(monkeypatch):
+    """Make every degree-trimmed solver state (a step's last stage) carry a
+    NaN in its second core, as a non-finite value arising inside a step
+    would."""
     import tthjb.integrate as integrate
-    real = integrate.rank_adapt
+    real = integrate.degree_truncate
 
-    def poisoned(y, r0, delta_contr):
-        out = real(y, r0, delta_contr)
+    def poisoned(y, delta_contr):
+        out = real(y, delta_contr)
         cores = [c.copy() for c in out.coeffs.cores]
         cores[1][0, 0, 0] = np.nan
         return integrate.SolutionSnapshot(out.t, integrate.TensorTrain._trusted(cores))
 
-    monkeypatch.setattr(integrate, "rank_adapt", poisoned)
+    monkeypatch.setattr(integrate, "degree_truncate", poisoned)

@@ -303,9 +303,8 @@ class TestSolveCommand:
         assert len(manifest["files"]) == len(manifest["times"])
         rec = json.loads((out / "diagnostics.jsonl").read_text().splitlines()[0])
         assert set(rec) == {"step", "t", "tau", "tau_lambda", "tau_proj",
-                            "tau_rank", "lambda_bar", "power_iters",
-                            "power_converged", "binding", "ranks", "degrees",
-                            "cov_err", "wall_ms"}
+                            "lambda_bar", "power_iters", "power_converged",
+                            "binding", "ranks", "degrees", "cov_err", "wall_ms"}
         assert rec["wall_ms"] is None  # determinism default
 
     def test_solve_rerun_byte_identical(self, tmp_path):
@@ -361,7 +360,7 @@ class TestSolveCommand:
         assert err == f"invalid solve option: --stride: expected an integer >= 1, got {stride}\n"
         assert not (tmp_path / "runs").exists()
 
-    def test_non_finite_state_exits_2(self, tmp_path, poisoned_rank_adapt, capsys):
+    def test_non_finite_state_exits_2(self, tmp_path, poisoned_degree_truncate, capsys):
         path, _ = gaussian_config(tmp_path, out="runnan")
         assert main(["solve", str(path)]) == 2
         assert "core 1 contains non-finite entries" in capsys.readouterr().err

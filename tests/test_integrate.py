@@ -325,11 +325,13 @@ class TestStepsizeRules:
 
     def test_solve_rounds_the_retraction_sum_it_accepted(self, monkeypatch):
         """A short solve rounds each step's sum once, inside the retraction
-        search, and re-compresses the rounding the search returned."""
+        search, and runs no rounding after it: the search's rounding, with
+        its degrees trimmed, is the step's new state."""
         _, space, phi = gaussian_setup(2, seed=3)
-        phase, rounds, evals, handed = [None], Counter(), [], []
+        phase, rounds, evals, handed = ["start"], Counter(), [], []
         round_err = tt.tt_round_with_error
         rel_err = integrate._retraction_rel_err
+        power = integrate.power_iteration_bound
         search = integrate.stepsize_retraction
         truncate = integrate.degree_truncate
 
@@ -341,28 +343,32 @@ class TestStepsizeRules:
             evals.append(args[2])
             return rel_err(*args)
 
+        def powering(*args, **kwargs):
+            phase[0] = "power"
+            return power(*args, **kwargs)
+
         def searching(*args, **kwargs):
             phase[0] = "search"
             tau, new = search(*args, **kwargs)
-            phase[0] = "accepted"
+            phase[0] = None  # until the next step's power iteration
             handed.append(new)
             return tau, new
 
         def truncating(y, *args):
             assert y is handed[-1]
-            phase[0] = None
             return truncate(y, *args)
 
         monkeypatch.setattr(tt, "tt_round_with_error", counting_round)
         monkeypatch.setattr(integrate, "tt_round_with_error", counting_round)
         monkeypatch.setattr(integrate, "_retraction_rel_err", counting_eval)
+        monkeypatch.setattr(integrate, "power_iteration_bound", powering)
         monkeypatch.setattr(integrate, "stepsize_retraction", searching)
         monkeypatch.setattr(integrate, "degree_truncate", truncating)
         traj = solve_hjb(phi, space, SolverConfig(T=0.05, tau_max=0.01, seed=1))
         assert traj.error is None
         assert len(handed) == len(traj.diagnostics) == 5
         assert rounds["search"] == len(evals) >= len(handed)
-        assert rounds["accepted"] == 0
+        assert rounds[None] == 0 and rounds["power"] > 0
 
     def test_retraction_rank_budget_failure(self):
         space = PolySpace([(-2, 2)] * 3, [3] * 3)
@@ -502,7 +508,6 @@ class TestSolve:
             assert rec["tau"] <= cfg.tau_max + 1e-15
             assert rec["tau"] <= rec["tau_lambda"] + 1e-15
             assert rec["tau"] <= rec["tau_proj"] + 1e-15
-            assert rec["tau"] <= rec["tau_rank"] + 1e-15
             assert all(r <= cap for r, cap in zip(rec["ranks"][1:-1], r0))
 
     def test_stepsizes_nondecreasing_after_stiff_phase(self):
@@ -540,9 +545,11 @@ class TestSolve:
         assert recs[-1]["binding"] == "horizon"
         for r in recs:
             bound = {"tau_max": cfg.tau_max, "stiffness": r["tau_lambda"],
-                     "projection": r["tau_proj"], "rank": r["tau_rank"]}
+                     "projection": r["tau_proj"]}
             if r["binding"] in bound:
                 assert r["tau"] == bound[r["binding"]]
+            elif r["binding"] == "rank":
+                assert r["tau"] < min(bound.values())
 
     def test_determinism_identical_diagnostics(self):
         _, space, phi = gaussian_setup(2, seed=15)
@@ -555,7 +562,7 @@ class TestSolve:
 
 
 class TestNonFinite:
-    def test_non_finite_state_ends_the_solve(self, poisoned_rank_adapt):
+    def test_non_finite_state_ends_the_solve(self, poisoned_degree_truncate):
         _, space, phi = gaussian_setup(2, seed=3)
         traj = solve_hjb(phi, space, SolverConfig(**CFG))
         assert traj.error == "ValueError: core 1 contains non-finite entries"

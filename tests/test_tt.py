@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tthjb.tt import (TensorTrain, _fix_svd_signs, _qr, _qr_q, _qr_r, _svd,
-                      laplace_like_sum, mode_apply,
+from tthjb.tt import (TensorTrain, _qr, _qr_q, _qr_r, _svd, laplace_like_sum,
+                      mode_apply,
                       read_checkpoint, right_orthogonalize, tt_add_scaled,
                       tt_contract_mode_vectors, tt_from_dense, tt_inner,
                       tt_norm, tt_random, tt_round, tt_round_sketched,
@@ -220,6 +220,26 @@ class TestRound:
         da = tt_to_dense(a)
         ref = np.linalg.norm(da - tt_to_dense(rounded)) / np.linalg.norm(da)
         assert abs(err - ref) <= 1e-12 * ref + 1e-15
+
+    @pytest.mark.parametrize("bond", [0, 1, 2])
+    @pytest.mark.parametrize("tol, caps", [(0.3, None), (1e-3, [2, 2, 2])],
+                             ids=["tol", "tol-and-caps"])
+    def test_round_ignores_the_sign_gauge_of_a_bond(self, bond, tol, caps):
+        # the same tensor with some of one bond's columns negated on both sides
+        a = random_tt(np.random.default_rng(16), (3, 4, 5, 3), (3, 4, 3))
+        flip = np.ones(a.ranks[bond + 1])
+        flip[::2] = -1.0
+        cores = list(a.cores)
+        cores[bond] = cores[bond] * flip
+        cores[bond + 1] = flip[:, None, None] * cores[bond + 1]
+        flipped = TensorTrain(cores)
+        r, err = tt_round_with_error(a, tol=tol, max_ranks=caps)
+        rf, err_f = tt_round_with_error(flipped, tol=tol, max_ranks=caps)
+        assert rf.ranks == r.ranks and r.ranks != a.ranks
+        assert err_f == pytest.approx(err, abs=1e-14)
+        dense = tt_to_dense(r)
+        assert (np.linalg.norm(tt_to_dense(rf) - dense)
+                <= 1e-12 * np.linalg.norm(dense))
 
     def test_reported_error_of_zero_tensor(self):
         rounded, err = tt_round_with_error(tt_zero((3, 3, 3)), max_ranks=[1, 1])
@@ -467,44 +487,6 @@ class TestOrthogonalityMarker:
         rng = np.random.default_rng(36)
         r = tt_round(random_tt(rng, (3, 4, 3), (3, 3)), tol=1e-12)
         assert r.copy().ortho == r.ortho
-
-
-def _fix_svd_signs_loop(u, vt):
-    """Column-by-column reference for the vectorized sign convention."""
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        nz = np.nonzero(col)[0]
-        if nz.size and col[nz[0]] < 0:
-            u[:, j] = -col
-            vt[j, :] = -vt[j, :]
-    return u, vt
-
-
-@pytest.mark.parametrize("shape", [(5, 2), (12, 4), (30, 7), (4, 4)])
-def test_svd_sign_fix_matches_loop_bitwise(shape):
-    rng = np.random.default_rng(shape[0] * 31 + shape[1])
-    u = rng.standard_normal(shape)
-    u[:2, 0] = 0.0          # leading zeros: the first nonzero entry decides
-    u[:, -1] = 0.0          # all-zero column: left alone
-    u[0, 1] = -0.0
-    vt = rng.standard_normal((shape[1], 6))
-    got_u, got_vt = _fix_svd_signs(u.copy(), vt.copy())
-    ref_u, ref_vt = _fix_svd_signs_loop(u.copy(), vt.copy())
-    assert got_u.tobytes() == ref_u.tobytes()
-    assert got_vt.tobytes() == ref_vt.tobytes()
-
-
-@pytest.mark.parametrize("shape", [(5, 2), (12, 4), (30, 7)])
-def test_svd_sign_fix_without_leading_zeros_matches_loop_bitwise(shape):
-    # no zero in row 0: its signs decide (the test above covers the rest)
-    rng = np.random.default_rng(shape[0] * 17 + shape[1])
-    u = rng.standard_normal(shape)
-    assert np.all(u[0] != 0.0)
-    vt = rng.standard_normal((shape[1], 6))
-    got_u, got_vt = _fix_svd_signs(u.copy(), vt.copy())
-    ref_u, ref_vt = _fix_svd_signs_loop(u.copy(), vt.copy())
-    assert got_u.tobytes() == ref_u.tobytes()
-    assert got_vt.tobytes() == ref_vt.tobytes()
 
 
 # The LAPACK helpers call the gufuncs behind np.linalg.qr/svd directly; they

@@ -49,7 +49,7 @@ def _ref_right_orthogonalize(a):
 
 
 def _ref_round(cores, tol, caps):
-    """Rounding of right-orthogonal cores with the loop sign convention."""
+    """Rounding of right-orthogonal cores through ``np.linalg.svd``."""
     cores = [np.ascontiguousarray(c) for c in cores]
     norm = float(np.linalg.norm(cores[0]))
     thresh = tol * norm / np.sqrt(len(cores) - 1)
@@ -57,11 +57,6 @@ def _ref_round(cores, tol, caps):
     for i in range(len(cores) - 1):
         r0, m, r1 = cores[i].shape
         u, s, vt = np.linalg.svd(cores[i].reshape(r0 * m, r1), full_matrices=False)
-        for j in range(u.shape[1]):
-            nz = np.nonzero(u[:, j])[0]
-            if nz.size and u[nz[0], j] < 0:
-                u[:, j] = -u[:, j]
-                vt[j, :] = -vt[j, :]
         k = _truncation_rank(s, thresh, caps[i])
         discarded_sq += float(np.sum(s[k:] ** 2))
         cores[i] = u[:, :k].reshape(r0, m, k)
