@@ -51,7 +51,7 @@ from .basis import PolySpace
 from .integrate import SolverConfig, SolutionSnapshot, Trajectory, solve_hjb
 from .operators import BUILTINS, PotentialSpec, PotentialTerm, apply_lin, \
     apply_nonlin, build_potential_tt, covariance_error, poly_multiply, project_degree
-from .sample import SamplerConfig, eval_v_batch, reverse_sample
+from .sample import NORMAL_TRANSFORM, SamplerConfig, eval_v_batch, reverse_sample
 from .tt import TensorTrain, read_checkpoint, tt_centres, tt_from_dense, tt_random, \
     tt_to_dense, write_checkpoint
 
@@ -304,12 +304,16 @@ def cmd_solve(config_path: str, stride: int = 1, timings: bool = False) -> int:
     return 0
 
 
-def _load_trajectory(files, manifest_dir: str) -> Trajectory:
+def _load_trajectory(files, manifest_dir: str, space: PolySpace) -> Trajectory:
     """Read the snapshots ``files`` maps to their times; ``ValueError`` when
-    a file's stored time is not the one the manifest lists for it."""
+    a file's stored time is not the one the manifest lists for it, or its
+    tensor has not one core per dimension of ``space``."""
     snaps = []
     for name, listed in files.items():
         tt, t = read_checkpoint(os.path.join(manifest_dir, name))
+        if tt.d != space.d:
+            raise ValueError(f"{name} holds {tt.d} cores, the manifest's space "
+                             f"has d={space.d}")
         if t != listed:
             raise ValueError(f"{name} holds t={t!r}, the manifest lists t={listed!r}")
         snaps.append(SolutionSnapshot(t=t, coeffs=tt))
@@ -349,7 +353,7 @@ def cmd_sample(manifest_path: str, particles=None, lam=None, langevin_steps=None
 
     out_dir = os.path.dirname(os.path.abspath(manifest_path))
     try:
-        traj = _load_trajectory(files, out_dir)
+        traj = _load_trajectory(files, out_dir, space)
     except (OSError, ValueError) as exc:
         print(f"cannot load snapshot: {exc}", file=sys.stderr)
         return 1
@@ -362,8 +366,7 @@ def cmd_sample(manifest_path: str, particles=None, lam=None, langevin_steps=None
     csv_path = os.path.join(out_dir, "samples.csv")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        d = batch.d
-        writer.writerow([f"x{i + 1}" for i in range(d)] + ["flags"])
+        writer.writerow([f"x{i + 1}" for i in range(batch.samples.shape[1])] + ["flags"])
         for row, oob, bad in zip(batch.samples, batch.oob_counts, batch.aborted):
             flag = -1 if bad else int(oob)
             writer.writerow([repr(float(v)) for v in row] + [flag])
@@ -373,13 +376,13 @@ def cmd_sample(manifest_path: str, particles=None, lam=None, langevin_steps=None
         "langevin_steps": sampler.langevin_steps,
         "langevin_tau": sampler.langevin_tau,
         "n_particles": sampler.n_particles,
-        "normal_transform": batch.metadata.get("normal_transform"),
-        "grid": batch.metadata.get("times"),
+        "normal_transform": NORMAL_TRANSFORM,
+        "grid": batch.times,
         "aborted": int(batch.aborted.sum()),
         "out_of_domain_total": int(batch.oob_counts.sum()),
-        "frozen_per_step": batch.metadata.get("frozen_per_step"),
-        "out_of_domain_per_step": batch.metadata.get("out_of_domain_per_step"),
-        "max_score_norm_per_step": batch.metadata.get("max_score_norm_per_step"),
+        "frozen_per_step": batch.frozen_per_step,
+        "out_of_domain_per_step": batch.out_of_domain_per_step,
+        "max_score_norm_per_step": batch.max_score_norm_per_step,
     }
     with open(os.path.join(out_dir, "sample_metadata.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

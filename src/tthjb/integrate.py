@@ -374,7 +374,8 @@ def degree_truncate(y: SolutionSnapshot, delta_contr: float) -> SolutionSnapshot
     ``delta_contr`` in (absolute) Frobenius norm.
 
     Repeats until no slice qualifies.  Degrees never drop below 2: the
-    stationary standard-normal potential is quadratic.
+    stationary standard-normal potential is quadratic.  When nothing drops
+    the result is ``y`` itself, so a rounding's orthogonality marker stays.
     """
     cores = list(y.coeffs.cores)
     changed = True
@@ -385,6 +386,8 @@ def degree_truncate(y: SolutionSnapshot, delta_contr: float) -> SolutionSnapshot
                 cores[k] = cores[k][:, :-1, :]
                 changed = True
                 break
+    if tuple(c.shape[1] for c in cores) == y.coeffs.mode_sizes:
+        return y
     return SolutionSnapshot(t=y.t, coeffs=TensorTrain._trusted(cores))
 
 

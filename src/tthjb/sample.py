@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 # what np.einsum calls when not asked to optimize, without its argument
@@ -77,13 +77,17 @@ class SamplerConfig:
 
 @dataclass
 class SampleBatch:
-    """Final particle positions plus per-particle bookkeeping."""
+    """Final particle positions, per-particle bookkeeping, the sampling grid
+    and one entry per reverse step ``times[n] -> times[n + 1]``, Langevin
+    steps included, in each ``*_per_step`` list."""
 
-    d: int
     samples: np.ndarray            # (I, d)
     oob_counts: np.ndarray         # out-of-domain coordinate evaluations
     aborted: np.ndarray            # particles frozen after non-finite values
-    metadata: dict = field(default_factory=dict)
+    times: list[float]             # increasing, from 0 to the horizon
+    frozen_per_step: list[int]     # frozen particles after the step
+    max_score_norm_per_step: list[float]  # largest finite score row norm, or 0.0
+    out_of_domain_per_step: list[int]     # summed over the step's evaluations
 
 
 def _chunk_rows(n: int, lo: int, hi: int) -> tuple[int, int]:
@@ -366,7 +370,8 @@ def _in_workers(run, blocks: list[tuple[int, int]]) -> list:
 
 def _reverse_rows(grad_fn, times: np.ndarray, d: int, scfg: SamplerConfig,
                   start: int, stop: int):
-    """Particles ``[start, stop)`` of the reverse process on ``times``.
+    """Particles ``[start, stop)`` of the reverse process on ``times``;
+    ``grad_fn(n, z)`` is the score of reverse step ``n`` at the states ``z``.
 
     Every draw is the matching rows of the whole ``(I, d)`` normal block, so
     the rows do not depend on how the particles are split.  One Philox
@@ -375,7 +380,6 @@ def _reverse_rows(grad_fn, times: np.ndarray, d: int, scfg: SamplerConfig,
     frozen flags and, per reverse step, the number of frozen particles and
     the largest finite norm of a score row.
     """
-    horizon = times[-1]
     lam = scfg.lam
     L = scfg.langevin_steps
     shape = (scfg.n_particles, d)
@@ -408,8 +412,7 @@ def _reverse_rows(grad_fn, times: np.ndarray, d: int, scfg: SamplerConfig,
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(times.size - 1):
             tau = times[n + 1] - times[n]
-            s = horizon - times[n]
-            g = grad_fn(s, z)
+            g = grad_fn(n, z)
             peak = _largest_norm(g)
             # nxt = z + (z - (2 - lam) g) tau [+ sqrt(2 (1 - lam) tau) xi], one
             # operation at a time in the formula's order, so the bits are its own
@@ -423,7 +426,7 @@ def _reverse_rows(grad_fn, times: np.ndarray, d: int, scfg: SamplerConfig,
                 nxt += tmp
             apply()
             for _ in range(L):
-                g = grad_fn(s, z)
+                g = grad_fn(n, z)
                 peak = max(peak, _largest_norm(g))
                 # nxt = z - tau_L g + sqrt(2 tau_L) xi
                 np.multiply(scfg.langevin_tau, g, out=tmp)
@@ -437,21 +440,16 @@ def _reverse_rows(grad_fn, times: np.ndarray, d: int, scfg: SamplerConfig,
     return z, aborted, frozen, peaks
 
 
-def _batch(times: np.ndarray, d: int, scfg: SamplerConfig, z, aborted, oob_counts,
-           frozen, peaks) -> SampleBatch:
-    """The finished batch; raises when more than 10% of all particles froze."""
+def _batch(times: np.ndarray, z, aborted, oob_counts, frozen, peaks,
+           oob_per_step) -> SampleBatch:
+    """The finished batch of the final states and their records; raises
+    when more than 10% of all particles froze."""
     if aborted.size and np.mean(aborted) > 0.10:
         raise RuntimeError(
             f"{int(aborted.sum())} of {aborted.size} particles diverged (> 10%)")
-    return SampleBatch(d=d, samples=z, oob_counts=oob_counts, aborted=aborted,
-                       metadata={"normal_transform": NORMAL_TRANSFORM,
-                                 "lambda": scfg.lam,
-                                 "langevin_steps": scfg.langevin_steps,
-                                 "langevin_tau": scfg.langevin_tau,
-                                 "seed": scfg.seed,
-                                 "times": times.tolist(),
-                                 "frozen_per_step": frozen,
-                                 "max_score_norm_per_step": peaks})
+    return SampleBatch(samples=z, oob_counts=oob_counts, aborted=aborted,
+                       times=times.tolist(), frozen_per_step=frozen,
+                       max_score_norm_per_step=peaks, out_of_domain_per_step=oob_per_step)
 
 
 def reverse_sample_scored(grad_fn, times, d: int, scfg: SamplerConfig) -> SampleBatch:
@@ -459,23 +457,22 @@ def reverse_sample_scored(grad_fn, times, d: int, scfg: SamplerConfig) -> Sample
     this process.
 
     ``grad_fn(s, z)`` must return the gradient of the surrogate negative
-    log-density at diffusion time ``s = times[-1] - times[n]`` for the
-    ``(I, d)`` batch ``z`` of all particles, rows in particle order;
-    ``times`` is the increasing sampling grid from 0 to the horizon.  ``z``
-    is always finite: a particle whose update has a non-finite entry keeps
-    its last state and is flagged in ``aborted``.  The sampler writes later
-    states into the memory of ``z``, so ``grad_fn`` copies it to keep it.
+    log-density at the diffusion time ``s = times[-1] - times[n]`` of
+    reverse step ``n`` for the ``(I, d)`` batch ``z`` of all particles, rows
+    in particle order; ``times`` is the increasing sampling grid from 0 to
+    the horizon.  ``z`` is always finite: a particle whose update has a
+    non-finite entry keeps its last state and is flagged in ``aborted``.
+    The sampler writes later states into the memory of ``z``, so
+    ``grad_fn`` copies it to keep it.
 
-    The metadata holds one entry per reverse step (Langevin steps
-    included) in ``frozen_per_step``, the number of frozen particles after
-    the step, and ``max_score_norm_per_step``, the largest finite Euclidean
-    norm of a row of the step's ``grad_fn`` results (0.0 when none is
-    finite).
+    Nothing counts out-of-domain evaluations here: ``oob_counts`` and
+    ``out_of_domain_per_step`` are zeros.
     """
     times = _sampling_grid(times)
-    n = scfg.n_particles
-    z, aborted, frozen, peaks = _reverse_rows(grad_fn, times, d, scfg, 0, n)
-    return _batch(times, d, scfg, z, aborted, np.zeros(n, dtype=np.int64), frozen, peaks)
+    z, aborted, frozen, peaks = _reverse_rows(
+        lambda n, z: grad_fn(times[-1] - times[n], z), times, d, scfg, 0, scfg.n_particles)
+    return _batch(times, z, aborted, np.zeros(len(z), dtype=np.int64), frozen, peaks,
+                  [0] * len(frozen))
 
 
 def reverse_sample(traj: Trajectory, space: PolySpace, scfg: SamplerConfig,
@@ -484,11 +481,11 @@ def reverse_sample(traj: Trajectory, space: PolySpace, scfg: SamplerConfig,
 
     The sampling grid is the solver grid reversed (``t_n = T - t_{N-n}``,
     shared by all particles), and reverse step ``n`` scores with snapshot
-    ``N - n``.  Out-of-domain basis evaluations are counted per
-    particle; when ``clamp_to_domain`` is set, score evaluations use the
-    coordinates projected onto the hypercube instead (the particle state is
-    untouched) and the counts stay 0.  ``out_of_domain_per_step`` in the
-    metadata sums the counts over each reverse step's evaluations.
+    ``N - n``.  Out-of-domain basis evaluations are counted per particle
+    and, in ``out_of_domain_per_step``, per reverse step; when
+    ``clamp_to_domain`` is set, score evaluations use the coordinates
+    projected onto the hypercube instead (the particle state is untouched)
+    and the counts stay 0.
 
     The particles run in contiguous blocks, one per usable CPU (see
     :data:`MIN_BLOCK`), each in a forked child but the first; the result
@@ -498,24 +495,20 @@ def reverse_sample(traj: Trajectory, space: PolySpace, scfg: SamplerConfig,
         raise ValueError(f"trajectory did not reach the horizon T={cfg.T}")
     horizon = traj.snapshots[-1].t
     times = _sampling_grid([horizon - s.t for s in reversed(traj.snapshots)])
-    # Step n asks for diffusion time times[-1] - times[n], which is t_{N-n}
-    # only up to round-off; key snapshot N-n's kernel by that exact float.
-    steps = times[-1] - times[:-1]
-    kernels = {s: prepare_score(snap, space)
-               for s, snap in zip(steps, reversed(traj.snapshots))}
+    kernels = [prepare_score(snap, space) for snap in reversed(traj.snapshots[1:])]
     d = traj.snapshots[0].coeffs.d
     lo, hi = np.array(space.intervals).T
 
     def rows(start, stop):
         oob_counts = np.zeros(stop - start, dtype=np.int64)
-        oob_per_step = dict.fromkeys(steps, 0)
-        work = ScoreWorkspace(kernels.values(), space, stop - start)
+        oob_per_step = np.zeros(len(kernels), dtype=np.int64)
+        work = ScoreWorkspace(kernels, space, stop - start)
         clipped = np.empty((stop - start, d))
         # the bounds once per row, so the states are checked as flat arrays:
         # a length-d inner loop per row takes three times as long
         flat_lo, flat_hi = np.tile(lo, stop - start), np.tile(hi, stop - start)
 
-        def grad_fn(s, z):
+        def grad_fn(n, z):
             if scfg.clamp_to_domain:
                 z = np.clip(z, lo, hi, out=clipped)
             else:
@@ -524,17 +517,14 @@ def reverse_sample(traj: Trajectory, space: PolySpace, scfg: SamplerConfig,
                 if outside.any():
                     counts = outside.reshape(z.shape).sum(axis=1)
                     oob_counts[:] += counts
-                    oob_per_step[s] += int(counts.sum())
-            return grad_v_batch(kernels[s], space, z, work=work)
+                    oob_per_step[n] += counts.sum()
+            return grad_v_batch(kernels[n], space, z, work=work)
 
         z, aborted, frozen, peaks = _reverse_rows(grad_fn, times, d, scfg, start, stop)
-        return z, aborted, oob_counts, frozen, peaks, list(oob_per_step.values())
+        return z, aborted, oob_counts, frozen, peaks, oob_per_step
 
     z, aborted, oob_counts, frozen, peaks, oob_per_step = zip(
         *_in_workers(rows, _blocks(scfg.n_particles)))
-    batch = _batch(times, d, scfg, np.concatenate(z), np.concatenate(aborted),
-                   np.concatenate(oob_counts), np.sum(frozen, axis=0).tolist(),
-                   np.max(peaks, axis=0).tolist())
-    batch.metadata["clamp_to_domain"] = scfg.clamp_to_domain
-    batch.metadata["out_of_domain_per_step"] = np.sum(oob_per_step, axis=0).tolist()
-    return batch
+    return _batch(times, np.concatenate(z), np.concatenate(aborted),
+                  np.concatenate(oob_counts), np.sum(frozen, axis=0).tolist(),
+                  np.max(peaks, axis=0).tolist(), np.sum(oob_per_step, axis=0).tolist())

@@ -121,6 +121,9 @@ class TensorTrain:
         for i, c in enumerate(cores):
             if c.ndim != 3:
                 raise ValueError(f"core {i} is not order 3")
+            if min(c.shape) < 1:
+                raise ValueError(f"core {i} has shape {c.shape}: ranks and mode "
+                                 "sizes must be >= 1")
             if i > 0 and cores[i - 1].shape[2] != c.shape[0]:
                 raise ValueError(f"rank mismatch between cores {i - 1} and {i}")
         self.cores = cores

@@ -17,6 +17,7 @@ from tthjb.integrate import SolverConfig
 from tthjb.sample import SamplerConfig
 from tthjb.operators import BUILTINS, PotentialSpec, PotentialTerm, build_potential_tt
 from tthjb.basis import PolySpace
+from tthjb.tt import TensorTrain, read_checkpoint, write_checkpoint
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -421,6 +422,22 @@ class TestSampleCommand:
         assert main(["sample", str(solved)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("cannot load snapshot: snapshot_2.ttck holds t=")
+        assert err.count("\n") == 1
+        assert not (solved.parent / "samples.csv").exists()
+
+    @pytest.mark.parametrize("shape,message", [
+        ([(1, 3, 1)] * 3, "snapshot_3.ttck holds 3 cores, the manifest's space has d=2"),
+        ([(1, 3, 0), (0, 3, 1)], "core 0 has shape (1, 3, 0)"),
+    ], ids=["extra-core", "rank-0"])
+    def test_snapshot_outside_the_space_exits_1(self, solved, capsys, shape, message):
+        """A stored tensor with a core too many, or with an empty bond, is
+        rejected before sampling."""
+        snap = solved.parent / "snapshot_3.ttck"
+        _, t = read_checkpoint(snap)
+        write_checkpoint(snap, TensorTrain._trusted([np.ones(s) for s in shape]), t)
+        assert main(["sample", str(solved)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot load snapshot:") and message in err
         assert err.count("\n") == 1
         assert not (solved.parent / "samples.csv").exists()
 

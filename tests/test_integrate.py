@@ -437,9 +437,9 @@ class TestRecompression:
             {"name": "gaussian", "coords": tuple(range(d)),
              "params": {"Q": (0.5 * np.eye(d)).tolist()}}])
         phi = build_potential_tt(spec, space)
-        assert phi.mode_sizes == (5, 5, 5)
+        assert phi.mode_sizes == (5, 5, 5) and phi.ortho == ("left", d - 1)
         out = degree_truncate(SolutionSnapshot(0.0, phi), 1e-8)
-        assert out.coeffs.mode_sizes == (3, 3, 3)
+        assert out.coeffs.mode_sizes == (3, 3, 3) and out.coeffs.ortho is None
 
     def test_degree_floor_is_two(self):
         space = PolySpace([(-5, 5)] * 2, [2] * 2)
@@ -447,6 +447,13 @@ class TestRecompression:
         const = build_potential_tt(spec, space)  # all mass at degree 0
         out = degree_truncate(SolutionSnapshot(0.0, const), 1e-8)
         assert out.coeffs.mode_sizes == (3, 3)
+
+    def test_trim_that_drops_nothing_returns_its_input(self):
+        """The rounding's orthogonality marker stays with the state."""
+        rng = np.random.default_rng(12)
+        y = SolutionSnapshot(0.0, tt_round(tt_random((4, 5, 4), (1, 2, 2, 1), rng)))
+        kept = degree_truncate(y, 1e-8)
+        assert kept is y and kept.coeffs.ortho == ("left", 2)
 
     def test_slice_norm_matches_dense(self):
         # every row of every centre core against the dense slice, and with

@@ -290,9 +290,22 @@ class TestScoredSampler:
 
         scfg = SamplerConfig(lam=0.0, n_particles=50, langevin_steps=1, seed=5)
         batch = reverse_sample_scored(poisoned, times, 2, scfg)
-        assert batch.metadata["frozen_per_step"] == [0] * 6 + [3] * 4
-        assert batch.metadata["max_score_norm_per_step"] == [
+        assert batch.frozen_per_step == [0] * 6 + [3] * 4
+        assert batch.max_score_norm_per_step == [
             peaks[times[-1] - tn] for tn in times[:-1]]
+
+    def test_per_step_lists_cover_every_reverse_step(self):
+        """The batch carries the grid and one entry per reverse step in each
+        of its three per-step lists; nothing counts out-of-domain
+        evaluations here."""
+        times = np.linspace(0.0, 1.0, 8)
+        scfg = SamplerConfig(lam=0.0, n_particles=40, langevin_steps=2, seed=6)
+        batch = reverse_sample_scored(lambda s, z: z, times, 3, scfg)
+        assert batch.times == times.tolist()
+        for per_step in (batch.frozen_per_step, batch.max_score_norm_per_step,
+                         batch.out_of_domain_per_step):
+            assert len(per_step) == len(times) - 1
+        assert batch.out_of_domain_per_step == [0] * 7
 
     def test_majority_divergence_aborts_the_run(self):
         times = np.linspace(0.0, 1.0, 11)
@@ -317,8 +330,9 @@ class TestScoredSampler:
 
 def reference_rows(grad_fn, times, d, scfg):
     """The sampler loop with a new array per update and the ``np.where``
-    freeze pass on every update, drawing whole normal blocks.  Returns the
-    final states, the frozen flags and the frozen count per reverse step."""
+    freeze pass on every update, drawing whole normal blocks; it scores
+    reverse step ``n`` with ``grad_fn(n, z)``.  Returns the final states,
+    the frozen flags and the frozen count per reverse step."""
     shape = (scfg.n_particles, d)
     z = _normals(scfg.seed, 0, shape)
     aborted = np.zeros(shape[0], dtype=bool)
@@ -334,15 +348,15 @@ def reference_rows(grad_fn, times, d, scfg):
     stream, frozen = 1, []
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(times.size - 1):
-            tau, s = times[n + 1] - times[n], times[-1] - times[n]
-            drift = z + (z - (2.0 - scfg.lam) * grad_fn(s, z)) * tau
+            tau = times[n + 1] - times[n]
+            drift = z + (z - (2.0 - scfg.lam) * grad_fn(n, z)) * tau
             if scfg.lam != 1.0:
                 xi = _normals(scfg.seed, stream, shape)
                 stream += 1
                 drift = drift + np.sqrt(2.0 * (1.0 - scfg.lam) * tau) * xi
             apply(drift)
             for _ in range(scfg.langevin_steps):
-                g = grad_fn(s, z)
+                g = grad_fn(n, z)
                 xi = _normals(scfg.seed, stream, shape)
                 stream += 1
                 apply(z - scfg.langevin_tau * g + np.sqrt(2.0 * scfg.langevin_tau) * xi)
@@ -350,21 +364,19 @@ def reference_rows(grad_fn, times, d, scfg):
     return z, aborted, frozen
 
 
-def poisoned(grad_fn, times, poison, start=0, states=None):
-    """``grad_fn`` with the rows ``poison[(n, c)]`` (numbered from 0 over
-    all blocks; this block starts at row ``start``) set to inf on call
-    ``c`` of reverse step ``n``.  Appends a copy of every state to
-    ``states`` when given."""
-    step = {times[-1] - t: n for n, t in enumerate(times[:-1])}
+def poisoned(grad_fn, poison, start=0, states=None):
+    """The step score ``grad_fn(n, z)`` with the rows ``poison[(n, c)]``
+    (numbered from 0 over all blocks; this block starts at row ``start``)
+    set to inf on call ``c`` of reverse step ``n``.  Appends a copy of every
+    state to ``states`` when given."""
     calls = []
 
-    def score(s, z):
-        n = step[s]
+    def score(n, z):
         c = calls.count(n)
         calls.append(n)
         if states is not None:
             states.append(z.copy())
-        g = grad_fn(s, z)
+        g = grad_fn(n, z)
         g[[r - start for r in poison.get((n, c), ()) if start <= r < start + len(z)]] = np.inf
         return g
 
@@ -380,10 +392,21 @@ class TestFrozenParticles:
     POISON = {(3, 0): [5], (5, 1): [170], (6, 0): [5, 40, 200]}
     FROZEN = [0, 0, 0, 1, 1, 2, 4, 4, 4, 4]
 
+    def poison_rows(self, monkeypatch, states=None):
+        """Make every block's step score poisoned by ``POISON``."""
+        real_rows = sample._reverse_rows
+
+        def rows(grad_fn, times, d, scfg, start, stop):
+            return real_rows(poisoned(grad_fn, self.POISON, start, states),
+                             times, d, scfg, start, stop)
+
+        monkeypatch.setattr(sample, "_reverse_rows", rows)
+
     def check(self, samples, aborted, frozen, times, score, scfg, d):
+        """``score(n, z)`` is the unpoisoned score of reverse step ``n``."""
         states = []
         want, want_aborted, want_frozen = reference_rows(
-            poisoned(score, times, self.POISON, states=states), times, d, scfg)
+            poisoned(score, self.POISON, states=states), times, d, scfg)
         assert frozen == want_frozen == self.FROZEN
         np.testing.assert_array_equal(aborted, want_aborted)
         assert np.flatnonzero(aborted).tolist() == [5, 40, 170, 200]
@@ -395,36 +418,30 @@ class TestFrozenParticles:
             assert samples[row].tobytes() == states[call][row].tobytes()
         assert not np.array_equal(samples[5], states[3 * per_step - 1][5])
 
-    def test_scored_sampler(self):
+    def test_scored_sampler(self, monkeypatch):
         times = np.linspace(0.0, 1.0, 11)
 
         def score(s, z):
             return 2.0 * riccati_reference(0.4, s) * z
 
-        scfg = SamplerConfig(n_particles=300, langevin_steps=1, seed=21)
         states = []
-        batch = reverse_sample_scored(poisoned(score, times, self.POISON, states=states),
-                                      times, 2, scfg)
+        self.poison_rows(monkeypatch, states)
+        scfg = SamplerConfig(n_particles=300, langevin_steps=1, seed=21)
+        batch = reverse_sample_scored(score, times, 2, scfg)
         assert len(states) == 20
-        self.check(batch.samples, batch.aborted, batch.metadata["frozen_per_step"],
-                   times, score, scfg, 2)
+        self.check(batch.samples, batch.aborted, batch.frozen_per_step, times,
+                   lambda n, z: score(times[-1] - times[n], z), scfg, 2)
 
     def test_two_blocks(self, workers, monkeypatch):
         space, traj, cfg = box_trajectory()
-        real_rows = sample._reverse_rows
-
-        def rows(grad_fn, times, d, scfg, start, stop):
-            return real_rows(poisoned(grad_fn, times, self.POISON, start),
-                             times, d, scfg, start, stop)
-
-        monkeypatch.setattr(sample, "_reverse_rows", rows)
+        self.poison_rows(monkeypatch)
         workers(2)
         scfg = SamplerConfig(n_particles=300, langevin_steps=1, seed=21)
         batch = reverse_sample(traj, space, scfg, cfg)
         kernel = prepare_score(traj.snapshots[0], space)    # every snapshot's
-        self.check(batch.samples, batch.aborted, batch.metadata["frozen_per_step"],
-                   np.array(batch.metadata["times"]),
-                   lambda s, z: grad_v_batch(kernel, space, z), scfg, 2)
+        self.check(batch.samples, batch.aborted, batch.frozen_per_step,
+                   np.array(batch.times),
+                   lambda n, z: grad_v_batch(kernel, space, z), scfg, 2)
 
 
 class TestTrajectorySampler:
@@ -491,7 +508,7 @@ class TestTrajectorySampler:
         assert batch.samples.shape == (20, 2)
         want = [snap for snap in traj.snapshots[:0:-1] for _ in range(2)]
         assert [id(s) for s in used] == [id(s) for s in want]
-        times = np.array(batch.metadata["times"])
+        times = np.array(batch.times)
         assert np.allclose(times[-1] - times[:-1], [s.t for s in want[::2]],
                            rtol=0, atol=1e-12)
 
@@ -524,9 +541,9 @@ class TestDomainClamp:
         real_rows, real_grad = sample._reverse_rows, sample.grad_v_batch
 
         def scored(grad_fn, times, d, scfg, start, stop):
-            def recording(s, z):
+            def recording(n, z):
                 states.append(z.copy())
-                return grad_fn(s, z)
+                return grad_fn(n, z)
             return real_rows(recording, times, d, scfg, start, stop)
 
         def grad(snap, space, xs, **kw):
@@ -547,7 +564,6 @@ class TestDomainClamp:
             np.testing.assert_array_equal(xs, np.clip(z, -0.5, 0.5))
         assert sum(count_out_of_domain(space, z).sum() for z in states) > 0
         assert not batch.oob_counts.any()
-        assert batch.metadata["clamp_to_domain"] is True
 
     def test_unclamped_counts_every_evaluation(self, monkeypatch):
         space, batch, states, points = self.run(monkeypatch, clamp=False)
@@ -570,13 +586,13 @@ def workers(monkeypatch):
 
 
 def poison_block(monkeypatch, first_row, action):
-    """Run ``action(grad_fn, s, z)`` in place of the score in the block
-    starting at ``first_row``."""
+    """Run ``action(grad_fn, n, z)`` in place of the score of reverse step
+    ``n`` in the block starting at ``first_row``."""
     real_rows = sample._reverse_rows
 
     def rows(grad_fn, times, d, scfg, start, stop):
         if start == first_row:
-            return real_rows(lambda s, z: action(grad_fn, s, z), times, d, scfg, start, stop)
+            return real_rows(lambda n, z: action(grad_fn, n, z), times, d, scfg, start, stop)
         return real_rows(grad_fn, times, d, scfg, start, stop)
 
     monkeypatch.setattr(sample, "_reverse_rows", rows)
@@ -658,7 +674,8 @@ class TestParticleBlocks:
     @pytest.mark.parametrize("clamp", [False, True])
     def test_any_split_gives_identical_results(self, workers, monkeypatch, clamp):
         """1, 2 and 3 blocks of 301 particles (3 blocks are uneven) give the
-        same arrays and metadata, with particles frozen in several blocks."""
+        same arrays and per-step lists, with particles frozen in several
+        blocks."""
         space, traj, cfg = box_trajectory()
         real_grad = sample.grad_v_batch
 
@@ -676,13 +693,15 @@ class TestParticleBlocks:
             batches.append(reverse_sample(traj, space, scfg, cfg))
         frozen = np.flatnonzero(batches[0].aborted)
         assert len({np.searchsorted([100, 200], i, side="right") for i in frozen}) > 1
-        assert batches[0].metadata["frozen_per_step"][-1] == len(frozen)
+        assert batches[0].frozen_per_step[-1] == len(frozen)
         assert batches[0].oob_counts.any() != clamp
         for batch in batches[1:]:
             np.testing.assert_array_equal(batch.samples, batches[0].samples)
             np.testing.assert_array_equal(batch.aborted, batches[0].aborted)
             np.testing.assert_array_equal(batch.oob_counts, batches[0].oob_counts)
-            assert batch.metadata == batches[0].metadata
+            for name in ("times", "frozen_per_step", "max_score_norm_per_step",
+                         "out_of_domain_per_step"):
+                assert getattr(batch, name) == getattr(batches[0], name)
 
     @pytest.mark.parametrize("poisoned,raises", [(24, False), (36, True)],
                              ids=["8-percent", "12-percent"])
@@ -692,8 +711,8 @@ class TestParticleBlocks:
         above 10% of that block; only the share of all 300 counts."""
         space, traj, cfg = box_trajectory()
 
-        def diverge(grad_fn, s, z):
-            g = grad_fn(s, z)
+        def diverge(grad_fn, n, z):
+            g = grad_fn(n, z)
             g[:poisoned] = np.inf
             return g
 
@@ -710,7 +729,7 @@ class TestParticleBlocks:
     def test_failing_worker_raises_its_message(self, workers, monkeypatch):
         space, traj, cfg = box_trajectory()
 
-        def fail(grad_fn, s, z):
+        def fail(grad_fn, n, z):
             raise ValueError("score exploded")
 
         poison_block(monkeypatch, 100, fail)
@@ -722,7 +741,7 @@ class TestParticleBlocks:
     def test_killed_worker_names_its_exit_code(self, workers, monkeypatch):
         space, traj, cfg = box_trajectory()
 
-        def die(grad_fn, s, z):
+        def die(grad_fn, n, z):
             os.kill(os.getpid(), signal.SIGKILL)
 
         poison_block(monkeypatch, 200, die)

@@ -64,6 +64,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TensorTrain([np.zeros((1, 2, 2)), np.zeros((3, 2, 1))])
 
+    @pytest.mark.parametrize("shapes", [[(1, 2, 0), (0, 2, 1)], [(1, 0, 1)]],
+                             ids=["rank-0", "mode-size-0"])
+    def test_empty_bond_or_mode_rejected(self, shapes):
+        with pytest.raises(ValueError, match="ranks and mode sizes must be >= 1"):
+            TensorTrain([np.zeros(s) for s in shapes])
+
     def test_non_finite_rejected(self):
         core = np.zeros((1, 2, 1))
         core[0, 0, 0] = np.nan
